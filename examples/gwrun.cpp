@@ -61,8 +61,9 @@ struct Flags {
   // needs --rack-size to describe the topology).
   std::string combine = "off";
   // Fault injection: scheduled node crashes/restarts and straggler
-  // speculation. All empty/false by default, so fault-free runs add zero
-  // simulation events and keep golden stdout byte-identical.
+  // speculation. All empty/false by default. Every job runs the
+  // fault-tolerant shuffle protocol regardless; on a fault-free run its
+  // completion barrier and bookkeeping change no simulated result.
   std::vector<core::JobConfig::CrashEvent> crash_events;
   std::vector<std::pair<int, double>> restarts;
   bool speculate = false;
@@ -204,6 +205,19 @@ cl::DeviceSpec device_spec(const std::string& name) {
   if (name == "phi") return cl::DeviceSpec::xeon_phi_5110p();
   std::fprintf(stderr, "unknown device '%s'\n", name.c_str());
   std::exit(2);
+}
+
+// Exports the run's simulated timeline when --trace is given. Returns false
+// (after reporting on stderr) when the file cannot be written.
+bool export_trace(const Flags& flags, cluster::Platform& platform) {
+  if (flags.trace_path.empty()) return true;
+  if (!platform.sim().tracer().save_chrome_json(flags.trace_path)) {
+    std::fprintf(stderr, "failed to write trace to %s\n",
+                 flags.trace_path.c_str());
+    return false;
+  }
+  std::printf("trace written to %s\n", flags.trace_path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -376,14 +390,7 @@ int main(int argc, char** argv) {
                   t.jobs_finished, t.service_s, t.wait_s);
     }
     core::print_sched_line(sched, sc.policy, makespan);
-    if (!flags.trace_path.empty()) {
-      if (!platform.sim().tracer().save_chrome_json(flags.trace_path)) {
-        std::fprintf(stderr, "failed to write trace to %s\n",
-                     flags.trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace written to %s\n", flags.trace_path.c_str());
-    }
+    if (!export_trace(flags, platform)) return 1;
     return sched.jobs_failed() == 0 ? 0 : 1;
   }
 
@@ -473,15 +480,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.net_dfs_bytes),
                   static_cast<unsigned long long>(r.net_control_bytes));
     }
-    if (!flags.trace_path.empty()) {
-      if (!platform.sim().tracer().save_chrome_json(flags.trace_path)) {
-        std::fprintf(stderr, "failed to write trace to %s\n",
-                     flags.trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace written to %s\n", flags.trace_path.c_str());
-    }
-    return 0;
+    return export_trace(flags, platform) ? 0 : 1;
   }
 
   core::JobConfig cfg;
@@ -561,15 +560,7 @@ int main(int argc, char** argv) {
       }
       core::print_traffic_split_line("net", agg);
     }
-    if (!flags.trace_path.empty()) {
-      if (!platform.sim().tracer().save_chrome_json(flags.trace_path)) {
-        std::fprintf(stderr, "failed to write trace to %s\n",
-                     flags.trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace written to %s\n", flags.trace_path.c_str());
-    }
-    return 0;
+    return export_trace(flags, platform) ? 0 : 1;
   }
   core::JobResult r;
   try {
@@ -613,13 +604,5 @@ int main(int argc, char** argv) {
   if (flags.net_report) {
     core::print_traffic_split_line("net", r.stats);
   }
-  if (!flags.trace_path.empty()) {
-    if (!platform.sim().tracer().save_chrome_json(flags.trace_path)) {
-      std::fprintf(stderr, "failed to write trace to %s\n",
-                   flags.trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace written to %s\n", flags.trace_path.c_str());
-  }
-  return 0;
+  return export_trace(flags, platform) ? 0 : 1;
 }

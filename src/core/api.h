@@ -121,8 +121,11 @@ enum class OutputMode {
 //           designated node per rack re-combines the rack's extra-rack
 //           shuffle streams and forwards a single deduplicated stream
 //           across the core switch.
-// Requires an app combine function declared combine_associative; the
-// runtime silently degrades the mode otherwise (see GlasswingRuntime::run).
+// Requires an app combine function declared combine_associative (and no
+// speculation); without one the job runs with kOff. A mode the execution
+// environment cannot honour (no rack structure, shared governors, a
+// preemptable job, nodes dead at job start) is weakened at job setup and
+// reported as JobResult::combine_degraded.
 enum class CombineMode { kOff = 0, kNode = 1, kRack = 2 };
 
 // Host-side processing rates (bytes/s per thread and fixed per-item costs)
@@ -221,7 +224,9 @@ struct JobConfig {
   // A crashed node loses its intermediate store and unsent map output; the
   // job re-executes its splits on survivors and reassigns its reduce
   // partitions. restart_time < 0 = no restart (a restarted node comes back
-  // EMPTY and only serves as DFS placement target).
+  // EMPTY and only serves as DFS placement target). A crash that fires
+  // after the job's last node finished does not count toward the job.
+  // Any crash event arms the job's durable-output ledger.
   struct CrashEvent {
     int node = -1;
     double time = 0;          // seconds after job start
@@ -248,48 +253,8 @@ struct JobConfig {
   // (-1) keep the legacy behavior: data loss is fatal.
   int dag_round = -1;
 
-  // --- multi-tenant scheduling (core::Scheduler) ---
-  // Set by the scheduler when this job is one of N concurrent jobs sharing
-  // the cluster (-1 = legacy single-job run, byte-identical event order).
-  // A scheduled job:
-  //   * owns the port namespace [port_base, port_base + kPortJobStride)
-  //     (port_base = kPortJobStride * (job_id + 1)); all its private
-  //     services (shuffle, rack-agg, broadcast, recovery rounds) are
-  //     addressed at port_base + the legacy port enum value. DFS traffic
-  //     stays on the shared kPortDfs.
-  //   * never clears the tracer and scopes its span names with
-  //     `trace_scope` so concurrent jobs' spans stay distinguishable.
-  //   * tolerates nodes dead at admission (a job admitted after another
-  //     tenant's crash starts degraded, like a DAG round).
-  //   * tears down only its own port range (scoped purge / clear_expected /
-  //     check_quiesced) so resident neighbours are untouched.
-  int job_id = -1;
-  // Tenant the job is accounted to (scheduler bookkeeping only).
-  int tenant = 0;
-  // Priority class for Policy::kPriority: lower value = more urgent.
-  int priority = 0;
-  // First port of the job's private namespace; 0 = legacy shared ports.
-  int port_base = 0;
-  // Prefix for job-scoped trace names (e.g. "j3."); empty = legacy names.
-  std::string trace_scope;
-  // Set by the scheduler when ANY resident job can crash nodes: every job
-  // sharing the cluster must run the fault-tolerant protocol (ledger,
-  // expected-sender registry, park barrier) or a neighbour's crash would
-  // hang its shuffle streams.
-  bool expect_crashes = false;
-  // Set by the scheduler when the job may be suspended mid-run: the job
-  // arms the map-output ledger and runs the fault-tolerant protocol so its
-  // durable work can be replayed by a later residency. Combining is forced
-  // off (re-fed ledger runs use raw shuffle framing).
-  bool preemptable = false;
-
-  bool scheduled() const { return job_id >= 0; }
-
   int effective_merger_threads() const {
     return merger_threads > 0 ? merger_threads : partitions_per_node;
-  }
-  bool fault_tolerant() const {
-    return !crash_events.empty() || speculate || expect_crashes || preemptable;
   }
 };
 

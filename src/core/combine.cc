@@ -184,7 +184,7 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
       // dedicated intra-rack traffic class; only the aggregator's
       // consolidated stream crosses the core switch.
       dst = topo_.aggregator_of(topo_.rack_of(ctx_.node_id));
-      port = ctx_.config->port_base + net::kPortRackAgg;
+      port = ctx_.port_base + net::kPortRackAgg;
       tc = net::TrafficClass::kRackAgg;
     } else if (tier_ == Tier::kRackAgg &&
                topo_.same_rack(dest, ctx_.node_id)) {

@@ -101,12 +101,10 @@ void JobDag::broadcast_payload(std::uint64_t bytes) {
     }
   }
   if (src < 0) return;
-  // Splitter/centroid broadcasts live inside the DAG's port namespace when
-  // the base config is scheduled (port_base > 0); legacy DAGs keep the
-  // shared kPortBroadcast.
+  // Splitter/centroid broadcasts use port window 0, where run() places
+  // every round.
   sim.spawn(broadcast_task(platform_, src,
-                           config_.base.port_base + net::kPortBroadcast,
-                           bytes));
+                           net::kPortJobStride + net::kPortBroadcast, bytes));
   sim.run();
 }
 

@@ -1,7 +1,9 @@
 #include "core/job.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -19,8 +21,8 @@ namespace {
 
 // Job-wide fault-tolerance state shared by every node's coroutine and the
 // crash listener. The simulation is single-threaded, so plain members
-// suffice; everything here is host-side bookkeeping that adds no simulated
-// events when no crash is scheduled.
+// suffice. Apart from the completion barrier everything here is host-side
+// bookkeeping; on a crash-free run it changes no simulated result.
 struct JobShared {
   std::vector<int> owner;  // global partition -> owning node
   int crash_epoch = 0;     // bumped once per node death
@@ -67,7 +69,7 @@ struct NodeRun {
   // and on rack-aggregator nodes the rack-tier one.
   std::unique_ptr<NodeCombiner> combiner;
   std::unique_ptr<NodeCombiner> rack_combiner;
-  MapOutputLedger ledger;  // populated only when cfg.fault_tolerant()
+  MapOutputLedger ledger;  // populated only when the ledger is armed
   int handled_epoch = 0;   // recovery rounds this node has executed
   std::set<int> reduced;   // global partitions this node already reduced
 };
@@ -89,24 +91,17 @@ sim::Task<> shuffle_receiver(NodeContext ctx, int port, int expected,
     // keep the legacy framing, replayed provenance stays uncombined.
     const bool combined =
         ctx.config->combine_mode != CombineMode::kOff &&
-        port == ctx.config->port_base + net::kPortShuffle;
+        port == ctx.port_base + net::kPortShuffle;
     std::vector<std::uint64_t> tags;
     if (combined) {
       tags.resize(r.get_u32());
       for (auto& t : tags) t = r.get_u64();
     }
-    if (ctx.config->fault_tolerant()) {
-      // Drop zombie/stale deliveries: a dead node's store is never reduced
-      // (and feeding it would initiate new cache-flush work on a dead
-      // machine). A live node always still owns what was routed to it —
-      // ownership only ever moves off dead nodes.
-      if (!ctx.self_live() || ctx.owner_of(g) != ctx.node_id) {
-        continue;
-      }
-    } else {
-      GW_CHECK_MSG(ctx.owner_of(g) == ctx.node_id,
-                   "partition routed to wrong node");
-    }
+    // Drop zombie/stale deliveries: a dead node's store is never reduced
+    // (and feeding it would initiate new cache-flush work on a dead
+    // machine). A live node always still owns what was routed to it —
+    // ownership only ever moves off dead nodes.
+    if (!ctx.self_live() || ctx.owner_of(g) != ctx.node_id) continue;
     if (combined) {
       co_await ctx.store->add_combined_run(g, Run::deserialize(r),
                                            std::move(tags));
@@ -130,7 +125,7 @@ sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
 sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
                             NodeCombiner& agg, RackTopology topo) {
   net::Transport::Receiver rx = ctx.platform->transport().receiver(
-      ctx.node_id, ctx.config->port_base + net::kPortRackAgg,
+      ctx.node_id, ctx.port_base + net::kPortRackAgg,
       topo.members_of(topo.rack_of(ctx.node_id)));
   for (;;) {
     auto msg = co_await rx.recv();
@@ -151,9 +146,8 @@ sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
   for (int n = 0; n < ctx.num_nodes; ++n) {
     if (!topo.same_rack(n, ctx.node_id)) extra.push_back(n);
   }
-  co_await broadcast_eos(ctx, shared,
-                         ctx.config->port_base + net::kPortShuffle, extra,
-                         nullptr);
+  co_await broadcast_eos(ctx, shared, ctx.port_base + net::kPortShuffle,
+                         extra, nullptr);
 }
 
 // EOS broadcast with crash guards. Dead destinations are skipped (crash
@@ -185,7 +179,7 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
   auto& tr = sim.tracer();
   net::Transport& tp = ctx.platform->transport();
   const JobConfig& cfg = *ctx.config;
-  const auto rec_name = tr.intern(cfg.trace_scope + "phase.recovery");
+  const auto rec_name = tr.intern(ctx.scoped("phase.recovery"));
 
   while (state.handled_epoch < shared.crash_epoch) {
     if (!ctx.self_live()) co_return;
@@ -193,7 +187,7 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     GW_CHECK_MSG(round <= cfg.max_recovery_rounds,
                  "recovery exceeded max_recovery_rounds");
     shared.rounds_entered.insert(round);
-    const int port = cfg.port_base + net::kPortRecoveryBase + round;
+    const int port = ctx.port_base + net::kPortRecoveryBase + round;
     const std::vector<int>& participants = shared.round_participants[round];
     auto& sent = shared.eos_sent[round];
 
@@ -360,13 +354,12 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   auto& sim = ctx.sim();
   auto& tr = sim.tracer();
   const JobConfig& cfg = *ctx.config;
-  const bool ft = cfg.fault_tolerant();
   const auto t = state.phase_track;
-  const auto map_name = tr.intern(cfg.trace_scope + "phase.map");
-  const auto merge_name = tr.intern(cfg.trace_scope + "phase.merge");
-  const auto reduce_name = tr.intern(cfg.trace_scope + "phase.reduce");
-  const int shuffle_port = cfg.port_base + net::kPortShuffle;
-  const int rack_agg_port = cfg.port_base + net::kPortRackAgg;
+  const auto map_name = tr.intern(ctx.scoped("phase.map"));
+  const auto merge_name = tr.intern(ctx.scoped("phase.merge"));
+  const auto reduce_name = tr.intern(ctx.scoped("phase.reduce"));
+  const int shuffle_port = ctx.port_base + net::kPortShuffle;
+  const int rack_agg_port = ctx.port_base + net::kPortRackAgg;
   ctx.store->start_mergers();
 
   // Rack mode reshapes the main-port streams: a node hears from its own
@@ -451,22 +444,21 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   co_await ctx.store->drain();
   tr.end(t, trace::Kind::kPhase, merge_name, sim.now());
 
-  // Reduce (and, under fault tolerance, recover-then-reduce until the job
-  // is globally complete). Each pass reduces the owned partitions that have
-  // no output yet; a crash during anyone's reduce re-enters the loop.
+  // Recover-then-reduce until the job is globally complete. Each pass
+  // reduces the owned partitions that have no output yet; a crash during
+  // anyone's reduce re-enters the loop.
   for (;;) {
     if (!ctx.self_live()) co_return;
-    if (ft) {
-      co_await run_recovery_rounds(ctx, scheduler, state, shared, map_device);
-      if (!ctx.self_live()) co_return;
-    }
+    co_await run_recovery_rounds(ctx, scheduler, state, shared, map_device);
+    if (!ctx.self_live()) co_return;
     std::vector<int> todo;
     for (int g = 0; g < ctx.total_partitions; ++g) {
       if (shared.owner[static_cast<std::size_t>(g)] != ctx.node_id) continue;
       if (state.reduced.count(g) > 0) continue;
-      // A partition whose file was committed before its owner died needs no
-      // re-reduction: DFS output survives crashes via replication.
-      if (ft && ctx.fs->exists(partition_output_path(cfg, g))) continue;
+      // A partition whose file was committed before its owner died (or
+      // before a suspension) needs no re-reduction: DFS output survives
+      // crashes via replication.
+      if (ctx.fs->exists(partition_output_path(cfg, g))) continue;
       todo.push_back(g);
     }
     if (!todo.empty()) {
@@ -500,7 +492,6 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
       }
       tr.end(t, trace::Kind::kPhase, reduce_name, sim.now());
     }
-    if (!ft) co_return;
     if (state.handled_epoch < shared.crash_epoch) continue;
 
     // Done for now — but a later crash can reassign partitions to this
@@ -522,10 +513,8 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   }
 }
 
-// Everything one job execution owns, factored out of GlasswingRuntime::run
-// so the synchronous single-job entry point and the scheduler-facing
-// run_async coroutine share one setup / mark / result-assembly path. Member
-// order mirrors the former run() locals so destruction order is unchanged.
+// Everything one job execution owns: the state run_async's setup, marks
+// and result assembly share.
 struct JobExec {
   cluster::Platform& platform;
   dfs::FileSystem& fs;
@@ -533,7 +522,7 @@ struct JobExec {
   std::vector<std::unique_ptr<cl::Device>>& reduce_devices;
   AppKernels app;     // normalized copy (partitioner default, combine gating)
   JobConfig config;   // normalized copy
-  const JobEnv* env;  // shared slots/governors; null = single-job
+  const JobEnv& env;  // port window, trace scope, shared slots/governors
   sim::Simulation& sim;
   net::Transport& tp;
 
@@ -542,7 +531,9 @@ struct JobExec {
   int num_nodes = 0;
   int total_partitions = 0;
   double start = 0;
-  bool ft = false;
+  // The durable-output ledger is recorded: a crash can reach the job or the
+  // job can be suspended (see MapOutputLedger).
+  bool ledger_armed = false;
   int rack_size = 0;
   std::vector<int> start_live;
   bool degraded = false;
@@ -554,7 +545,6 @@ struct JobExec {
   std::uint64_t dfs_rerep0 = 0;
   std::optional<SplitScheduler> scheduler;
   JobShared shared;
-  PreemptControl* preempt = nullptr;  // from env; null = not preemptable
   bool resuming = false;              // previous residency was suspended
   bool combine_degraded = false;      // requested combining forced weaker
   int listener_id = -1;
@@ -567,18 +557,17 @@ struct JobExec {
   JobExec(cluster::Platform& platform_in, dfs::FileSystem& fs_in,
           std::vector<std::unique_ptr<cl::Device>>& map_devices_in,
           std::vector<std::unique_ptr<cl::Device>>& reduce_devices_in,
-          const AppKernels& app_in, JobConfig config_in, const JobEnv* env_in)
+          AppKernels app_in, JobConfig config_in, const JobEnv& env_in)
       : platform(platform_in), fs(fs_in), map_devices(map_devices_in),
-        reduce_devices(reduce_devices_in), app(app_in),
+        reduce_devices(reduce_devices_in), app(std::move(app_in)),
         config(std::move(config_in)), env(env_in), sim(platform_in.sim()),
         tp(platform_in.transport()), all(platform_in.sim()) {}
 
-  // The job's private port for a well-known service (identity for the
-  // legacy port_base == 0).
-  int port(int p) const { return config.port_base + p; }
+  // The job's private port for a well-known service.
+  int port(int p) const { return env.port_base + p; }
   // Job-scoped trace name ("phase.map" -> "j3.phase.map" under a scope).
   std::string scoped(const char* name) const {
-    return config.trace_scope + name;
+    return env.trace_scope + name;
   }
 
   void setup();
@@ -674,13 +663,13 @@ void JobExec::setup() {
   // Scheduler-shared governors carve no combine pool (their budget split is
   // fixed before the tenant mix is known), so combining degrades off rather
   // than drawing from a pool that was never funded.
-  if (env != nullptr && !env->governors.empty()) {
+  if (!env.governors.empty()) {
     config.combine_mode = CombineMode::kOff;
   }
   // Preemptable jobs shuffle with the raw framing only: resumed residencies
   // re-feed ledger runs individually on the main port, which combined
   // framing at the receivers would misparse.
-  if (config.preemptable) {
+  if (env.preempt != nullptr) {
     config.combine_mode = CombineMode::kOff;
   }
   if (config.combine_mode != requested_combine &&
@@ -689,13 +678,7 @@ void JobExec::setup() {
   }
 
   // Checkpoint-based preemption handshake (core::Scheduler).
-  if (env != nullptr && env->preempt != nullptr) {
-    GW_CHECK_MSG(config.preemptable,
-                 "JobEnv carries a PreemptControl but the config is not "
-                 "marked preemptable");
-    preempt = env->preempt;
-    resuming = preempt->preemptions > 0;
-  }
+  resuming = env.preempt != nullptr && env.preempt->preemptions > 0;
 
   // Governed/replication controls reach through the PinnedFs overlay to
   // the real DFS underneath; stats deltas are measured there too.
@@ -709,7 +692,7 @@ void JobExec::setup() {
     }
   }
 
-  if (config.scheduled()) {
+  if (env.scheduled()) {
     // Concurrent jobs share one trace: nothing global to clear, and the
     // job's occupancy accumulators are already private via trace_scope.
   } else if (config.dag_round < 0) {
@@ -722,7 +705,8 @@ void JobExec::setup() {
   num_nodes = platform.num_nodes();
   total_partitions = num_nodes * config.partitions_per_node;
   start = sim.now();
-  ft = config.fault_tolerant();
+  ledger_armed = !config.crash_events.empty() || env.expect_crashes ||
+                 env.preempt != nullptr;
 
   // Nodes already dead when the job starts (between DAG rounds, or a job
   // admitted to a shared cluster after another tenant's crash) take no
@@ -735,7 +719,7 @@ void JobExec::setup() {
   GW_CHECK_MSG(!start_live.empty(), "every node is dead at job start");
   degraded = static_cast<int>(start_live.size()) < num_nodes;
   if (degraded) {
-    GW_CHECK_MSG(config.dag_round >= 0 || config.scheduled(),
+    GW_CHECK_MSG(config.dag_round >= 0 || env.scheduled(),
                  "node dead at job start outside a DAG round or scheduler");
     // The combine tiers assume full-mesh membership; a shrunken cluster
     // falls back to the plain shuffle path.
@@ -765,7 +749,7 @@ void JobExec::setup() {
     // re-feed). A committer that died in between cannot re-feed, so its
     // splits stay fresh and are simply mapped again — the original dedup
     // tags make any overlap harmless.
-    for (const auto& [idx, node] : preempt->state.committed_splits) {
+    for (const auto& [idx, node] : env.preempt->state.committed_splits) {
       if (!sim.node_alive(node)) continue;
       scheduler->restore_commit(idx, node);
     }
@@ -792,85 +776,88 @@ void JobExec::setup() {
   }
   shared.park = std::make_unique<sim::Event>(sim);
 
-  if (ft) {
-    // JobTracker bookkeeping: who is expected on every shuffle stream (for
-    // crash compensation), the crash listener that reassigns work, and the
-    // scheduled crash events themselves.
-    if (config.combine_mode == CombineMode::kRack) {
-      // Rack mode reshapes the main-port streams: a node hears from its own
-      // rack's members plus the other racks' aggregators, and an aggregator
-      // additionally hears its members on the rack-agg port.
-      const RackTopology topo{rack_size, num_nodes};
-      for (int dst = 0; dst < num_nodes; ++dst) {
-        const int rack = topo.rack_of(dst);
-        std::vector<int> senders;
-        for (int i = 0; i < topo.members_of(rack); ++i) {
-          senders.push_back(topo.aggregator_of(rack) + i);
-        }
-        for (int r = 0; r < topo.num_racks(); ++r) {
-          if (r != rack) senders.push_back(topo.aggregator_of(r));
-        }
-        tp.expect_senders(dst, port(net::kPortShuffle), senders);
+  // JobTracker bookkeeping: who is expected on every shuffle stream (for
+  // crash compensation), the crash listener that reassigns work, and the
+  // scheduled crash events themselves.
+  if (config.combine_mode == CombineMode::kRack) {
+    // Rack mode reshapes the main-port streams: a node hears from its own
+    // rack's members plus the other racks' aggregators, and an aggregator
+    // additionally hears its members on the rack-agg port.
+    const RackTopology topo{rack_size, num_nodes};
+    for (int dst = 0; dst < num_nodes; ++dst) {
+      const int rack = topo.rack_of(dst);
+      std::vector<int> senders;
+      for (int i = 0; i < topo.members_of(rack); ++i) {
+        senders.push_back(topo.aggregator_of(rack) + i);
       }
       for (int r = 0; r < topo.num_racks(); ++r) {
-        std::vector<int> members;
-        for (int i = 0; i < topo.members_of(r); ++i) {
-          members.push_back(topo.aggregator_of(r) + i);
-        }
-        tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
-                          members);
+        if (r != rack) senders.push_back(topo.aggregator_of(r));
       }
-    } else {
-      // Only nodes alive at job start ever open a stream; dead-at-start
-      // nodes are neither senders nor receivers. All-alive this is the
-      // legacy everyone-to-everyone registration.
-      for (int dst : start_live) {
-        tp.expect_senders(dst, port(net::kPortShuffle), start_live);
-      }
+      tp.expect_senders(dst, port(net::kPortShuffle), senders);
     }
-    listener_id = sim.add_crash_listener([this](int node, bool alive) {
-      if (alive) return;  // a restarted node only serves as a DFS target
-      if (shared.failed.count(node) > 0) return;
-      shared.failed.insert(node);
-      shared.crash_epoch++;
-      const int round = shared.crash_epoch;
-      std::vector<int> participants;
-      for (int n = 0; n < num_nodes; ++n) {
-        if (shared.job_live(sim, n)) participants.push_back(n);
+    for (int r = 0; r < topo.num_racks(); ++r) {
+      std::vector<int> members;
+      for (int i = 0; i < topo.members_of(r); ++i) {
+        members.push_back(topo.aggregator_of(r) + i);
       }
-      GW_CHECK_MSG(!participants.empty(), "every node crashed; job is lost");
-      // Reassign the dead node's reduce partitions round-robin over the
-      // survivors (ascending ids: deterministic).
-      auto& moved = shared.reassigned[round];
-      std::size_t rr = 0;
-      for (int g = 0; g < total_partitions; ++g) {
-        if (shared.owner[static_cast<std::size_t>(g)] != node) continue;
-        shared.owner[static_cast<std::size_t>(g)] =
-            participants[rr++ % participants.size()];
-        moved.push_back(g);
-      }
-      shared.partitions_reassigned += moved.size();
-      shared.round_participants[round] = std::move(participants);
-      shared.crashed_node[round] = node;
-      // Splits the dead node ran or had committed go back for re-execution.
-      scheduler->on_crash(node);
-      // Failure detection: inject the dead node's missing EOS frames after
-      // the detection timeout, once its in-flight wire traffic drained.
-      sim.spawn([](sim::Simulation& s, net::Transport& t, int dead,
-                   double delay) -> sim::Task<> {
-        co_await s.delay(delay);
-        co_await t.compensate_crash(dead);
-      }(sim, tp, node, config.crash_detection_delay_s));
-      // Wake parked finishers: the crash may have handed them new work.
-      auto old_park = std::move(shared.park);
-      shared.park = std::make_unique<sim::Event>(sim);
-      old_park->set();  // waiters already rescheduled; safe to destroy
-    });
-    for (const auto& e : config.crash_events) {
-      GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
-                   "crash event names an unknown node");
-      sim.schedule_node_crash(e.node, e.time, e.restart_time);
+      tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
+                        members);
     }
+  } else {
+    // Only nodes alive at job start ever open a stream; dead-at-start
+    // nodes are neither senders nor receivers.
+    for (int dst : start_live) {
+      tp.expect_senders(dst, port(net::kPortShuffle), start_live);
+    }
+  }
+  listener_id = sim.add_crash_listener([this](int node, bool alive) {
+    if (alive) return;  // a restarted node only serves as a DFS target
+    if (shared.failed.count(node) > 0) return;
+    // Recovery re-feeds the partitions moved off the dead node from the
+    // survivors' ledgers; an unarmed ledger is empty, so the survivors'
+    // runs for those partitions would be silently lost.
+    GW_CHECK_MSG(ledger_armed,
+                 "node crash reached a job whose durable-output ledger is "
+                 "not armed");
+    shared.failed.insert(node);
+    shared.crash_epoch++;
+    const int round = shared.crash_epoch;
+    std::vector<int> participants;
+    for (int n = 0; n < num_nodes; ++n) {
+      if (shared.job_live(sim, n)) participants.push_back(n);
+    }
+    GW_CHECK_MSG(!participants.empty(), "every node crashed; job is lost");
+    // Reassign the dead node's reduce partitions round-robin over the
+    // survivors (ascending ids: deterministic).
+    auto& moved = shared.reassigned[round];
+    std::size_t rr = 0;
+    for (int g = 0; g < total_partitions; ++g) {
+      if (shared.owner[static_cast<std::size_t>(g)] != node) continue;
+      shared.owner[static_cast<std::size_t>(g)] =
+          participants[rr++ % participants.size()];
+      moved.push_back(g);
+    }
+    shared.partitions_reassigned += moved.size();
+    shared.round_participants[round] = std::move(participants);
+    shared.crashed_node[round] = node;
+    // Splits the dead node ran or had committed go back for re-execution.
+    scheduler->on_crash(node);
+    // Failure detection: inject the dead node's missing EOS frames after
+    // the detection timeout, once its in-flight wire traffic drained.
+    sim.spawn([](sim::Simulation& s, net::Transport& t, int dead,
+                 double delay) -> sim::Task<> {
+      co_await s.delay(delay);
+      co_await t.compensate_crash(dead);
+    }(sim, tp, node, config.crash_detection_delay_s));
+    // Wake parked finishers: the crash may have handed them new work.
+    auto old_park = std::move(shared.park);
+    shared.park = std::make_unique<sim::Event>(sim);
+    old_park->set();  // waiters already rescheduled; safe to destroy
+  });
+  for (const auto& e : config.crash_events) {
+    GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
+                 "crash event names an unknown node");
+    sim.schedule_node_crash(e.node, e.time, e.restart_time);
   }
 
   // Job-wide span: the root every recovery event must nest inside. DAG
@@ -894,10 +881,10 @@ void JobExec::setup() {
   for (int n = 0; n < num_nodes; ++n) {
     NodeRun& state = nodes[static_cast<std::size_t>(n)];
     MemoryGovernor* gov = nullptr;
-    if (env != nullptr && !env->governors.empty()) {
+    if (!env.governors.empty()) {
       // Shared-cluster budget: one governor per node across all resident
       // jobs; the per-job governor stays null (no per-job mem marks).
-      gov = env->governors[static_cast<std::size_t>(n)];
+      gov = env.governors[static_cast<std::size_t>(n)];
     } else if (config.governed()) {
       state.governor = std::make_unique<MemoryGovernor>(
           sim, config.node_memory_bytes,
@@ -925,22 +912,26 @@ void JobExec::setup() {
     ctx.node_id = n;
     ctx.num_nodes = num_nodes;
     ctx.total_partitions = total_partitions;
+    ctx.port_base = env.port_base;
+    ctx.trace_scope = env.trace_scope;
     ctx.partition_owner = &shared.owner;
     ctx.shuffle_port = port(net::kPortShuffle);
-    ctx.ledger = ft ? &state.ledger : nullptr;
+    ctx.ledger = ledger_armed ? &state.ledger : nullptr;
     ctx.failed_nodes = &shared.failed;
-    if (env != nullptr && !env->map_slots.empty()) {
-      ctx.map_slot = env->map_slots[static_cast<std::size_t>(n)];
+    if (!env.map_slots.empty()) {
+      ctx.map_slot = env.map_slots[static_cast<std::size_t>(n)];
     }
-    if (env != nullptr && !env->reduce_slots.empty()) {
-      ctx.reduce_slot = env->reduce_slots[static_cast<std::size_t>(n)];
+    if (!env.reduce_slots.empty()) {
+      ctx.reduce_slot = env.reduce_slots[static_cast<std::size_t>(n)];
     }
-    ctx.elastic_slots = env != nullptr && env->elastic;
-    ctx.preempt = preempt;
-    if (resuming &&
-        static_cast<std::size_t>(n) < preempt->state.ledgers.size() &&
-        !preempt->state.ledgers[static_cast<std::size_t>(n)].runs.empty()) {
-      ctx.resume_ledger = &preempt->state.ledgers[static_cast<std::size_t>(n)];
+    ctx.elastic_slots = env.elastic;
+    ctx.preempt = env.preempt;
+    if (resuming) {
+      const std::vector<MapOutputLedger>& ledgers = env.preempt->state.ledgers;
+      if (static_cast<std::size_t>(n) < ledgers.size() &&
+          !ledgers[static_cast<std::size_t>(n)].runs.empty()) {
+        ctx.resume_ledger = &ledgers[static_cast<std::size_t>(n)];
+      }
     }
     if (config.combine_mode != CombineMode::kOff) {
       RackTopology topo;  // rack_size 0 = route straight to the owner
@@ -1121,7 +1112,7 @@ JobResult JobExec::finalize() {
     // Fold in the residencies before the suspension: counters add, output
     // files union (a resumed run never re-reduces a committed partition,
     // so there is no overlap), elapsed accumulates residency time only.
-    const ResumeState& rs = preempt->state;
+    const ResumeState& rs = env.preempt->state;
     add_counters(result.stats, rs.stats);
     for (const auto& f : rs.output_files) result.output_files.push_back(f);
     result.elapsed_seconds += rs.elapsed_s;
@@ -1131,7 +1122,7 @@ JobResult JobExec::finalize() {
 }
 
 void JobExec::capture_suspension(JobResult& result) {
-  PreemptControl& pc = *preempt;
+  PreemptControl& pc = *env.preempt;
   ResumeState& rs = pc.state;
   // finalize() already folded earlier residencies into `result`, so the
   // checkpoint is a plain snapshot of the cumulative totals.
@@ -1207,49 +1198,34 @@ GlasswingRuntime::GlasswingRuntime(cluster::Platform& platform,
 
 JobResult GlasswingRuntime::run(const AppKernels& app, JobConfig config,
                                 dfs::FileSystem* fs_override) {
-  dfs::FileSystem& fs = fs_override != nullptr ? *fs_override : fs_;
-  JobExec ex(platform_, fs, map_devices_, reduce_devices_, app,
-             std::move(config), /*env=*/nullptr);
-  ex.setup();
+  const JobEnv env;  // port window 0, unscoped trace names
+  std::optional<JobResult> result;
+  std::exception_ptr failure;
   auto& sim = platform_.sim();
-  bool completed = false;
-  bool failed = false;
-  std::string failure;
-  sim.spawn([](sim::TaskGroup& group, bool* completed_out, bool* failed_out,
-               std::string* msg) -> sim::Task<> {
+  sim.spawn([](sim::Task<JobResult> job, std::optional<JobResult>* out,
+               std::exception_ptr* err) -> sim::Task<> {
     try {
-      co_await group.wait();
-    } catch (const std::exception& e) {
-      *failed_out = true;
-      *msg = e.what();
+      *out = co_await std::move(job);
+    } catch (...) {
+      *err = std::current_exception();
     }
-    *completed_out = true;
-  }(ex.all, &completed, &failed, &failure));
+  }(run_async(app, std::move(config), env, fs_override), &result, &failure));
   sim.run();
-  // The event queue draining without the task group resolving means a node
+  if (failure) std::rethrow_exception(failure);
+  // The event queue draining without the job resolving means a node
   // coroutine is parked forever — a protocol deadlock, not a slow job.
-  GW_CHECK_MSG(completed, "job hung: event queue drained with nodes parked");
-  ex.finish_marks();
-  if (ex.ft) {
-    // Data in flight to a machine when it died vanishes with it: drop any
-    // stray inbox addressed to a crashed node (a round port it never got to
-    // open), then assert the fabric is otherwise clean.
-    for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-    sim.run();  // drain anything the purge woke
-    ex.tp.clear_expected();
-  }
-  if (ex.listener_id >= 0) sim.remove_crash_listener(ex.listener_id);
-  if (failed) util::throw_error("job failed: " + failure);
+  GW_CHECK_MSG(result.has_value(),
+               "job hung: event queue drained with nodes parked");
   platform_.fabric().check_quiesced();
-  return ex.finalize();
+  return std::move(*result);
 }
 
 sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
                                                  JobConfig config,
-                                                 dfs::FileSystem* fs_override,
-                                                 const JobEnv* env) {
+                                                 const JobEnv& env,
+                                                 dfs::FileSystem* fs_override) {
   dfs::FileSystem& fs = fs_override != nullptr ? *fs_override : fs_;
-  JobExec ex(platform_, fs, map_devices_, reduce_devices_, app,
+  JobExec ex(platform_, fs, map_devices_, reduce_devices_, std::move(app),
              std::move(config), env);
   ex.setup();
   bool failed = false;
@@ -1260,34 +1236,27 @@ sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
     failed = true;
     failure = e.what();
   }
+  // Every node finished: crashes from here on no longer reach the job.
+  ex.sim.remove_crash_listener(ex.listener_id);
   ex.finish_marks();
-  const int lo = ex.config.port_base;
+  // Scoped teardown: only this job's port window is touched, so resident
+  // neighbours keep their inboxes and expected-sender records. Data in
+  // flight to a machine when it died vanishes with it: drop the window's
+  // inboxes addressed to crashed nodes (a round port one never got to
+  // open). The purge can wake a zombie receiver still parked on a dropped
+  // inbox; one zero-delay tick lets it unwind before this frame (the
+  // NodeRun state it touches) is destroyed.
+  const int lo = env.port_base;
   const int hi = lo + net::kPortJobStride;
-  if (ex.ft) {
-    // Scoped teardown: only this job's port namespace is purged and its
-    // expected-sender records cleared, so resident neighbours keep theirs.
-    // The purge can wake a zombie receiver still parked on a dropped inbox;
-    // one zero-delay tick lets it unwind before this frame (the NodeRun
-    // state it touches) is destroyed — the async stand-in for the
-    // synchronous path's post-purge sim.run().
-    if (lo > 0) {
-      for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
-      ex.tp.clear_expected(lo, hi);
-    } else {
-      for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-      ex.tp.clear_expected();
-    }
+  if (!ex.shared.failed.empty()) {
+    for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
     co_await ex.sim.delay(0);
   }
-  if (ex.listener_id >= 0) ex.sim.remove_crash_listener(ex.listener_id);
+  ex.tp.clear_expected(lo, hi);
   if (failed) util::throw_error("job failed: " + failure);
-  if (lo > 0) {
-    platform_.fabric().check_quiesced(lo, hi);
-  } else {
-    platform_.fabric().check_quiesced();
-  }
+  platform_.fabric().check_quiesced(lo, hi);
   JobResult result = ex.finalize();
-  if (ex.preempt != nullptr && ex.preempt->requested && ex.incomplete()) {
+  if (env.preempt != nullptr && env.preempt->requested && ex.incomplete()) {
     ex.capture_suspension(result);
   }
   co_return result;

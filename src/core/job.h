@@ -27,13 +27,26 @@ namespace gw::core {
 
 class MemoryGovernor;
 
-// Shared-cluster execution environment a core::Scheduler hands to every
-// resident job (run_async): per-node map/reduce slot gates so concurrent
-// jobs time-share each node's pipelines, and optionally per-node memory
-// governors shared across tenants (one budget per node, not per job).
-// Empty vectors mean ungated / per-job governors; a default-constructed
-// JobEnv (or none at all) reproduces the single-job data path exactly.
+// Where a job runs: its port window and trace scope, and what it shares
+// with co-resident jobs. A default JobEnv is what run() uses: port window 0,
+// unscoped trace names, ungated pipelines and per-job governors.
+// core::Scheduler hands every resident job its own: a recycled port window,
+// a "j<id>." trace scope, the per-node map/reduce slot gates concurrent jobs
+// time-share each node through, optionally per-node memory governors shared
+// across tenants (one budget per node, not per job), and with preemption
+// the job's PreemptControl.
 struct JobEnv {
+  int job_id = -1;  // scheduler job id; -1 = a job run through run()
+  // First port of the job's window [port_base, port_base + kPortJobStride).
+  // Every job service (shuffle, rack-agg, broadcast, recovery rounds) is
+  // addressed at port_base + its net::Port value; DFS traffic stays on the
+  // shared kPortDfs.
+  int port_base = net::kPortJobStride;
+  // Prefix for the job's trace names (e.g. "j3."); empty = unscoped.
+  std::string trace_scope;
+  // Another tenant on the shared cluster injects node crashes, so a crash
+  // can reach this job without any crash_events of its own.
+  bool expect_crashes = false;
   std::vector<sim::Resource*> map_slots;     // per node; empty = ungated
   std::vector<sim::Resource*> reduce_slots;  // per node; empty = ungated
   std::vector<MemoryGovernor*> governors;    // per node; empty = per-job
@@ -44,6 +57,8 @@ struct JobEnv {
   // Non-null = the job is preemptable; also carries resume state when the
   // job was previously suspended (preemptions > 0).
   PreemptControl* preempt = nullptr;
+
+  bool scheduled() const { return job_id >= 0; }
 };
 
 class GlasswingRuntime {
@@ -68,23 +83,28 @@ class GlasswingRuntime {
   // measured result. Output correctness: files under config.output_path,
   // one per non-empty partition, readable with read_output_file().
   //
+  // Drives run_async() with a default JobEnv (port window 0), then drains
+  // the event loop — events the job left behind, such as a crash scheduled
+  // after it finished, still fire but do not count toward the result — and
+  // asserts the whole fabric quiesced. A job whose coroutines are still
+  // parked when the queue drains aborts as hung.
+  //
   // `fs_override` replaces the bound filesystem for this job only; the DAG
   // runtime passes its PinnedFs overlay so rounds read and write through
   // the pinned intermediate store. Null = the constructor-bound fs.
   JobResult run(const AppKernels& app, JobConfig config,
                 dfs::FileSystem* fs_override = nullptr);
 
-  // Coroutine form of run() for multi-tenant execution (core::Scheduler):
-  // N concurrent invocations share the platform's simulation, each confined
-  // to its own port namespace (config.port_base) and trace scope. Differences
-  // from run(): the caller drives the event loop (this never calls
-  // sim.run()), fault teardown and the quiesce assertion are scoped to the
-  // job's port range when port_base > 0, and `env` supplies the shared
-  // slot gates / governors. With a default config and no env the data path
-  // is the same as run()'s.
+  // The job lifecycle as a coroutine: setup, the per-node pipelines, then
+  // teardown of the job's own port window (purge of crashed nodes'
+  // inboxes, expected-sender records, quiesce check) and result assembly.
+  // It completes when the job's last node finishes, and it never drives
+  // the event loop, so N concurrent invocations (core::Scheduler) share the
+  // platform's simulation, each in the port window and trace scope `env`
+  // assigns. `env` must outlive the returned task.
   sim::Task<JobResult> run_async(AppKernels app, JobConfig config,
-                                 dfs::FileSystem* fs_override = nullptr,
-                                 const JobEnv* env = nullptr);
+                                 const JobEnv& env,
+                                 dfs::FileSystem* fs_override = nullptr);
 
   cl::Device& device(int node) { return *map_devices_.at(node); }
   cl::Device& reduce_device(int node) { return *reduce_devices_.at(node); }

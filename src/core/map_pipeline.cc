@@ -503,7 +503,7 @@ sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler,
   GW_CHECK_MSG(cfg.buffering >= 1 && cfg.buffering <= 3,
                "buffering level must be 1..3");
 
-  StageGraph g(sim, cfg.trace_scope + "map", ctx.node_id);
+  StageGraph g(sim, ctx.scoped("map"), ctx.node_id);
   sim::Resource& in_buffers = g.pool(cfg.buffering);
   sim::Resource& out_buffers = g.pool(cfg.buffering);
   auto& c12 = g.channel<StagedChunk>(8);

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -127,11 +128,15 @@ class SplitScheduler {
   std::uint64_t spec_losses_ = 0;
 };
 
-// Host-side record of the map runs a node made durable, kept only when
-// JobConfig::fault_tolerant(): for every produced run, a copy keyed by
-// global partition and dedup tag. When a reduce partition is reassigned off
-// a crashed node, survivors re-send their recorded runs for it from local
-// disk instead of re-running the map tasks that produced them.
+// Host-side record of the map runs a node made durable: for every produced
+// run, a copy keyed by global partition and dedup tag. When a reduce
+// partition is reassigned off a crashed node, survivors re-send their
+// recorded runs for it from local disk instead of re-running the map tasks
+// that produced them; a resumed residency re-feeds it the same way. The
+// job arms it only when it can be needed — when a crash can reach the job
+// (its own crash_events, or another tenant's via JobEnv::expect_crashes)
+// or when the job can be suspended (JobEnv::preempt) — because the copies
+// cost host memory on every run.
 struct MapOutputLedger {
   std::map<int, std::vector<std::pair<std::uint64_t, Run>>> runs;
 
@@ -182,6 +187,9 @@ struct NodeContext {
   int node_id = 0;
   int num_nodes = 1;
   int total_partitions = 1;
+  // The job's port window and trace-name prefix (JobEnv).
+  int port_base = net::kPortJobStride;
+  std::string_view trace_scope;
   // Map-tier hierarchical combiner; null = legacy direct push shuffle.
   // Remote-destined partition runs route through it instead of being sent
   // individually (local runs still go straight to the store). Always null
@@ -214,14 +222,12 @@ struct NodeContext {
     return preempt != nullptr && preempt->requested;
   }
 
-  // --- fault tolerance (§III-E); the defaults reproduce the failure-free
-  // data path exactly ---
+  // --- fault tolerance (§III-E) ---
   // Global partition -> owning node; reassigned away from crashed nodes.
-  // Null means the static g / partitions_per_node mapping.
   const std::vector<int>* partition_owner = nullptr;
-  int shuffle_port = net::kPortShuffle;
+  int shuffle_port = net::kPortJobStride + net::kPortShuffle;
   bool recovery = false;  // map pipeline re-executes lost splits this round
-  MapOutputLedger* ledger = nullptr;  // non-null when cfg.fault_tolerant()
+  MapOutputLedger* ledger = nullptr;  // null = ledger not armed
   // Nodes that ever crashed, even if later restarted. A restarted node is
   // alive again for the Simulation/transport but never rejoins the job, so
   // every "should I keep doing job work / may I commit" check must consult
@@ -230,13 +236,16 @@ struct NodeContext {
   const std::set<int>* failed_nodes = nullptr;
 
   int owner_of(int g) const {
-    return partition_owner != nullptr ? (*partition_owner)[static_cast<std::size_t>(g)]
-                                      : g / config->partitions_per_node;
+    return (*partition_owner)[static_cast<std::size_t>(g)];
+  }
+
+  // Job-scoped trace name ("map" -> "j3.map" under a scope).
+  std::string scoped(std::string_view name) const {
+    return std::string(trace_scope).append(name);
   }
 
   bool self_live() const {
-    return sim().node_alive(node_id) &&
-           (failed_nodes == nullptr || failed_nodes->count(node_id) == 0);
+    return sim().node_alive(node_id) && failed_nodes->count(node_id) == 0;
   }
 
   sim::Simulation& sim() const { return platform->sim(); }

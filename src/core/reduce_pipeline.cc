@@ -380,24 +380,20 @@ sim::Task<> write_output(Stage& st, NodeContext ctx, int g,
                               ctx.config->host.serialize_bytes_per_s);
   util::Bytes wire = co_await ctx.sim().join(std::move(work));
   const std::string path = partition_output_path(*ctx.config, g);
-  if (!ctx.config->fault_tolerant()) {
-    co_await ctx.fs->write(ctx.node_id, path, std::move(wire));
-  } else {
-    // HDFS-style pipeline recovery: a replica dying mid-write fails the
-    // attempt with NodeDownError; a live writer re-streams the file (crash
-    // pruning already dropped the dead node from placement, so the retry
-    // picks survivors). Only a writer that itself died abandons the output
-    // — and then the missing file is precisely what makes the recovery
-    // pass re-reduce `g` on its new owner.
-    for (;;) {
-      if (!ctx.self_live()) co_return;
-      try {
-        co_await ctx.fs->write(ctx.node_id, path, util::Bytes(wire));
-      } catch (const net::NodeDownError&) {
-        continue;
-      }
-      break;
+  // HDFS-style pipeline recovery: a replica dying mid-write fails the
+  // attempt with NodeDownError and leaves `wire` intact; a live writer
+  // re-streams the file (crash pruning already dropped the dead node from
+  // placement, so the retry picks survivors). Only a writer that itself
+  // died abandons the output — and then the missing file is precisely what
+  // makes the recovery pass re-reduce `g` on its new owner.
+  for (;;) {
+    if (!ctx.self_live()) co_return;
+    try {
+      co_await ctx.fs->write(ctx.node_id, path, std::move(wire));
+    } catch (const net::NodeDownError&) {
+      continue;
     }
+    break;
   }
   m.output_pairs += pairs;
   m.output_files.push_back(path);
@@ -500,7 +496,7 @@ sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions,
   auto& sim = ctx.sim();
   const JobConfig& cfg = *ctx.config;
 
-  StageGraph g(sim, cfg.trace_scope + "reduce", ctx.node_id);
+  StageGraph g(sim, ctx.scoped("reduce"), ctx.node_id);
 
   if (!ctx.app->reduce.has_value()) {
     // Must stay inline-awaited: spawning would reorder the final Dfs

@@ -346,63 +346,51 @@ sim::Task<void> Scheduler::run_job(int id) {
     r.queue_wait_s = std::max(0.0, r.admit_s - r.arrival_s);
   }
 
-  JobConfig cfg = req.config;
-  cfg.job_id = id;
-  cfg.tenant = req.tenant;
-  cfg.priority = req.priority;
-  // Port windows are recycled through a free-list: peak residency bounds
-  // the footprint, so arbitrarily many sequential jobs never walk off the
-  // end of the port space. A window frees only after run_async's teardown
-  // verified its range quiesced, so reuse can't cross-talk.
+  // Build this residency's environment from the shared one. Port windows
+  // are recycled through a free-list: peak residency bounds the footprint,
+  // so arbitrarily many sequential jobs never walk off the end of the port
+  // space. A window frees only after run_async's teardown verified its
+  // range quiesced, so reuse can't cross-talk.
   const int window = alloc_window();
-  cfg.port_base = net::kPortJobStride * (window + 1);
+  Residency& res = running_[id];
+  res.since = since;
+  JobEnv& env = res.env;
+  env = env_;
+  env.job_id = id;
+  env.port_base = net::kPortJobStride * (window + 1);
   // The trace scope stays keyed by JOB id (not window): a resumed job
   // reopens spans on the same labeled track across residencies.
-  cfg.trace_scope = "j" + std::to_string(id) + ".";
-  // If ANY tenant injects node crashes, every job sharing the cluster must
-  // run the fault-tolerant shuffle protocol, or a neighbour's crash would
-  // hang its streams (submissions are all registered before run_all, so
+  env.trace_scope = "j" + std::to_string(id) + ".";
+  // If ANY tenant injects node crashes, a neighbour's crash can reach
+  // every job sharing the cluster, so each one arms its durable-output
+  // ledger (submissions are all registered before run_all, so
   // any_crashes_ is final here).
-  cfg.expect_crashes = any_crashes_;
-  if (pc != nullptr) cfg.preemptable = true;
-
-  // Build this residency's environment. Elastic mode gives the job private
-  // per-node slot pools (resized by recompute_shares as residency churns);
-  // preemption threads the job's PreemptControl through a private JobEnv
-  // copy. Plain mode keeps the shared env.
-  Residency& res = running_[id];
-  res.window = window;
-  res.since = since;
-  JobEnv* env = &env_;
-  if (config_.elastic_slots || pc != nullptr) {
-    res.env = std::make_unique<JobEnv>();
-    res.env->governors = env_.governors;
-    if (config_.elastic_slots) {
-      const int n = platform_.num_nodes();
-      for (int i = 0; i < n; ++i) {
-        res.map_slots.push_back(std::make_unique<sim::Resource>(sim, 1));
-        res.reduce_slots.push_back(std::make_unique<sim::Resource>(sim, 1));
-        res.env->map_slots.push_back(res.map_slots.back().get());
-        res.env->reduce_slots.push_back(res.reduce_slots.back().get());
-      }
-      res.env->elastic = true;
-    } else {
-      res.env->map_slots = env_.map_slots;
-      res.env->reduce_slots = env_.reduce_slots;
+  env.expect_crashes = any_crashes_;
+  if (config_.elastic_slots) {
+    // Private per-node slot pools, resized by recompute_shares as
+    // residency churns.
+    env.map_slots.clear();
+    env.reduce_slots.clear();
+    const int n = platform_.num_nodes();
+    for (int i = 0; i < n; ++i) {
+      res.map_slots.push_back(std::make_unique<sim::Resource>(sim, 1));
+      res.reduce_slots.push_back(std::make_unique<sim::Resource>(sim, 1));
+      env.map_slots.push_back(res.map_slots.back().get());
+      env.reduce_slots.push_back(res.reduce_slots.back().get());
     }
-    if (pc != nullptr) {
-      pc->requested = false;
-      pc->suspended = false;
-      res.env->preempt = pc;
-    }
-    env = res.env.get();
+    env.elastic = true;
+  }
+  if (pc != nullptr) {
+    pc->requested = false;
+    pc->suspended = false;
+    env.preempt = pc;
   }
   resident_ids_.push_back(id);
   recompute_shares();
 
   dfs::FileSystem* fs = req.fs_override != nullptr ? req.fs_override : &fs_;
   try {
-    r.result = co_await runtime_.run_async(req.app, std::move(cfg), fs, env);
+    r.result = co_await runtime_.run_async(req.app, req.config, env, fs);
   } catch (const std::exception&) {
     r.failed = true;
     ++failed_;

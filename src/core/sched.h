@@ -190,16 +190,16 @@ class Scheduler {
   int port_windows_created() const { return windows_created_; }
 
  private:
-  // Per-residency execution state for one admitted job: its recycled port
-  // window, elastic per-node slot pools (if enabled) and the JobEnv handed
-  // to run_async. Destroyed when the job leaves residency (finish, failure
-  // or suspension); the resumable remainder lives in preempts_[id].
+  // Per-residency execution state for one admitted job: the JobEnv handed
+  // to run_async (with the job's recycled port window) and its elastic
+  // per-node slot pools (if enabled). Destroyed when the job leaves
+  // residency (finish, failure or suspension); the resumable remainder
+  // lives in preempts_[id].
   struct Residency {
-    int window = -1;
     double since = 0;  // sim.now() - epoch_ at (re)admission
     std::vector<std::unique_ptr<sim::Resource>> map_slots;
     std::vector<std::unique_ptr<sim::Resource>> reduce_slots;
-    std::unique_ptr<JobEnv> env;  // set iff this job needs a private env
+    JobEnv env;
   };
 
   sim::Task<void> arrive(int id);
@@ -221,7 +221,7 @@ class Scheduler {
   dfs::FileSystem& fs_;
   SchedulerConfig config_;
 
-  // Shared execution environment handed to every resident job.
+  // Shared execution environment every residency's JobEnv starts from.
   std::vector<std::unique_ptr<sim::Resource>> map_slots_;
   std::vector<std::unique_ptr<sim::Resource>> reduce_slots_;
   std::vector<std::unique_ptr<MemoryGovernor>> governors_;

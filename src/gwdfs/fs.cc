@@ -62,13 +62,13 @@ std::vector<int> Dfs::place_block(int writer, const std::string& path,
   return out;
 }
 
-sim::Task<> Dfs::write(int node, const std::string& path, util::Bytes data) {
+sim::Task<> Dfs::write(int node, const std::string& path,
+                       util::Bytes&& data) {
   if (exists(path)) util::throw_error("dfs write: path exists: " + path);
   auto& sim = platform_.sim();
 
   FileMeta meta;
-  meta.data = std::move(data);
-  const std::uint64_t size = meta.data.size();
+  const std::uint64_t size = data.size();
   const std::uint64_t blocks =
       std::max<std::uint64_t>(1, (size + config_.block_size - 1) / config_.block_size);
   for (std::uint64_t b = 0; b < blocks; ++b) {
@@ -99,6 +99,9 @@ sim::Task<> Dfs::write(int node, const std::string& path, util::Bytes data) {
     }
     co_await group.wait();
   }
+  // Take the payload only once every block is written: a pipeline that
+  // failed above left the caller's buffer intact for a retry.
+  meta.data = std::move(data);
   files_.emplace(path, std::move(meta));
 }
 
@@ -343,7 +346,7 @@ LocalFs::LocalFs(cluster::Platform& platform, LocalFsConfig config)
     : platform_(platform), config_(config) {}
 
 sim::Task<> LocalFs::write(int node, const std::string& path,
-                           util::Bytes data) {
+                           util::Bytes&& data) {
   auto& entry = files_[path];
   if (!entry.nodes.empty() && entry.data != nullptr &&
       std::find(entry.nodes.begin(), entry.nodes.end(), node) !=

@@ -37,9 +37,12 @@ class FileSystem {
  public:
   virtual ~FileSystem() = default;
 
-  // Creates `path` with the given contents, called from `node`.
+  // Creates `path` with the given contents, called from `node`, and
+  // consumes `data`. A write that fails with net::NodeDownError (a replica
+  // died mid-pipeline) leaves `data` untouched, so the caller can retry
+  // with the same buffer. `data` must outlive the returned task.
   virtual sim::Task<> write(int node, const std::string& path,
-                            util::Bytes data) = 0;
+                            util::Bytes&& data) = 0;
 
   // Reads [offset, offset+len) of `path` from `node`.
   virtual sim::Task<util::Bytes> read(int node, const std::string& path,
@@ -88,7 +91,7 @@ class Dfs : public FileSystem {
   ~Dfs() override;
 
   sim::Task<> write(int node, const std::string& path,
-                    util::Bytes data) override;
+                    util::Bytes&& data) override;
   sim::Task<util::Bytes> read(int node, const std::string& path,
                               std::uint64_t offset, std::uint64_t len) override;
 
@@ -157,7 +160,7 @@ class LocalFs : public FileSystem {
   LocalFs(cluster::Platform& platform, LocalFsConfig config = {});
 
   sim::Task<> write(int node, const std::string& path,
-                    util::Bytes data) override;
+                    util::Bytes&& data) override;
   sim::Task<util::Bytes> read(int node, const std::string& path,
                               std::uint64_t offset, std::uint64_t len) override;
 

@@ -70,7 +70,7 @@ void PinnedFs::on_crash(int node) {
 }
 
 sim::Task<> PinnedFs::write(int node, const std::string& path,
-                            util::Bytes data) {
+                            util::Bytes&& data) {
   drop_cached(path);
   if (!pin_writes_) {
     co_await base_.write(node, path, std::move(data));

@@ -46,7 +46,7 @@ class PinnedFs : public FileSystem {
   void set_cache_reads(bool on) { cache_reads_ = on; }
 
   sim::Task<> write(int node, const std::string& path,
-                    util::Bytes data) override;
+                    util::Bytes&& data) override;
   sim::Task<util::Bytes> read(int node, const std::string& path,
                               std::uint64_t offset, std::uint64_t len) override;
   bool exists(const std::string& path) const override;

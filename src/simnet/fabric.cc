@@ -214,23 +214,6 @@ std::size_t Fabric::purge_node(int node, int port_lo, int port_hi) {
   return dropped;
 }
 
-std::size_t Fabric::purge_node(int node) {
-  for (auto it = pre_closed_.begin(); it != pre_closed_.end();) {
-    it = it->first == node ? pre_closed_.erase(it) : std::next(it);
-  }
-  std::size_t dropped = 0;
-  for (auto it = inboxes_.begin(); it != inboxes_.end();) {
-    if (it->first.first != node) {
-      ++it;
-      continue;
-    }
-    dropped += it->second->size();
-    it->second->close();
-    it = inboxes_.erase(it);
-  }
-  return dropped;
-}
-
 void Fabric::check_quiesced() const {
   GW_CHECK_MSG(pre_closed_.empty(),
                "fabric pre_closed_ did not drain: a port was closed before "

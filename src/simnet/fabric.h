@@ -96,12 +96,11 @@ enum Port : int {
   kPortBroadcast = 5,     // DAG driver broadcast of per-round state
   kPortHadoopReplyBase = 1000,  // + reducer id for fetch replies
   kPortRecoveryBase = 2000,     // + recovery round for crash re-shuffle
-  // Per-job port namespacing for multi-tenant runs: a scheduled job with id
-  // j owns ports [kPortJobStride * (j + 1), kPortJobStride * (j + 2)) and
-  // addresses its private services at port_base + kPortShuffle etc. The
-  // legacy single-job path uses port_base = 0, so its ports are the bare
-  // enum values above and its event order is untouched. DFS traffic stays
-  // on the shared kPortDfs regardless of tenant.
+  // Per-job port windows: a job in window w owns ports
+  // [kPortJobStride * (w + 1), kPortJobStride * (w + 2)) and addresses its
+  // private services at that port_base + kPortShuffle etc. A job run on
+  // its own uses window 0; the scheduler recycles windows across resident
+  // jobs. DFS traffic stays on the shared kPortDfs regardless of job.
   kPortJobStride = 10000,
 };
 
@@ -154,18 +153,14 @@ class Fabric {
   // neighbours keep ports open.
   std::size_t open_inboxes(int port_lo, int port_hi) const;
 
-  // End-of-run teardown for a crashed node: drops every inbox and
-  // close-before-open record addressed to it, discarding undelivered
-  // messages (data in flight to a dead machine vanishes with it). Returns
-  // the number of messages dropped. Only call after the event loop drained;
-  // any receiver the node ever ran must have terminated by then (crash
-  // compensation guarantees this for the job protocols).
-  std::size_t purge_node(int node);
-
-  // Port-scoped purge: drops only the node's inboxes and close-before-open
-  // records with port in [port_lo, port_hi). Multi-tenant teardown uses
-  // this so one job's crash cleanup cannot discard traffic another resident
-  // job still expects to deliver.
+  // End-of-job teardown for a crashed node: drops its inboxes and
+  // close-before-open records with port in [port_lo, port_hi) — the job's
+  // port window — discarding undelivered messages (data in flight to a
+  // dead machine vanishes with it). Other jobs' windows are untouched, so
+  // one job's crash cleanup cannot discard traffic a resident neighbour
+  // still expects to deliver. Returns the number of messages dropped. Any
+  // receiver the node ran in the window must have terminated by then
+  // (crash compensation guarantees this for the job protocols).
   std::size_t purge_node(int node, int port_lo, int port_hi);
 
   // Close-before-open records still outstanding. Entries are pruned when

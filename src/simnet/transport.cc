@@ -165,8 +165,6 @@ sim::Task<> Transport::compensate_crash(int dead) {
   }
 }
 
-void Transport::clear_expected() { expected_.clear(); }
-
 void Transport::clear_expected(int port_lo, int port_hi) {
   for (auto it = expected_.begin(); it != expected_.end();) {
     const int port = it->first.second;

@@ -132,13 +132,9 @@ class Transport {
   // in-flight data drains first, as a real failure detector would.
   sim::Task<> compensate_crash(int dead);
 
-  // Drops all expected-sender records (end of job).
-  void clear_expected();
-
-  // Drops only expected-sender records whose port lies in [port_lo,
-  // port_hi). Multi-tenant teardown: a finishing job clears its own port
-  // namespace without erasing registrations concurrent jobs still rely on
-  // for crash compensation.
+  // End-of-job teardown: drops the expected-sender records whose port lies
+  // in [port_lo, port_hi) — the job's port window — without erasing
+  // registrations concurrent jobs still rely on for crash compensation.
   void clear_expected(int port_lo, int port_hi);
 
   // Consumes data messages from (node, port) until `expected_eos` senders

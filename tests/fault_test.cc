@@ -3,7 +3,8 @@
 // with deterministic recovery statistics that do not depend on the host
 // thread count (GW_THREADS). Also covers task-level injection (map retry
 // with the combiner enabled, reduce retry), node restart, straggler
-// speculation, and the Hadoop baseline's rejection of fault configs.
+// speculation, crashes that land after the job or outside its crash
+// exposure, and the Hadoop baseline's rejection of fault configs.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -28,10 +29,18 @@ using cluster::Platform;
 
 constexpr int kNodes = 4;
 
-Platform make_platform() {
+Platform make_platform(int nodes = kNodes) {
   return Platform(ClusterSpec::homogeneous(
-      kNodes, NodeSpec::das4_type1(),
+      nodes, NodeSpec::das4_type1(),
       net::NetworkProfile::qdr_infiniband_ipoib()));
+}
+
+core::JobConfig wc_config() {
+  core::JobConfig cfg;
+  cfg.input_paths = {"/in"};
+  cfg.output_path = "/out";
+  cfg.split_size = 64 << 10;
+  return cfg;
 }
 
 void stage(Platform& p, dfs::Dfs& fs, const std::string& path,
@@ -74,14 +83,11 @@ struct RunOutcome {
 };
 
 template <typename Tweak>
-RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
-  Platform p = make_platform();
+RunOutcome run_wc(const util::Bytes& text, Tweak tweak, int nodes = kNodes) {
+  Platform p = make_platform(nodes);
   dfs::Dfs fs(p, dfs::DfsConfig{});
   stage(p, fs, "/in", text);
-  core::JobConfig cfg;
-  cfg.input_paths = {"/in"};
-  cfg.output_path = "/out";
-  cfg.split_size = 64 << 10;
+  core::JobConfig cfg = wc_config();
   tweak(cfg);
   core::GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
   RunOutcome out;
@@ -91,7 +97,7 @@ RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
   const auto job = tr.occupancy(0, "job");
   out.job_first = job.first_begin;
   out.job_last = job.last_end;
-  for (int n = 0; n < kNodes; ++n) {
+  for (int n = 0; n < nodes; ++n) {
     const auto rec = tr.occupancy(n, "phase.recovery");
     out.shape.push_back({rec.spans, rec.first_begin, rec.last_end,
                          tr.span_names(n)});
@@ -201,6 +207,47 @@ TEST(FaultMatrix, RestartedNodeDoesNotPerturbOutput) {
   // The restarted node comes back empty and never rejoins the job.
   EXPECT_GT(faulty.result.stats.tasks_reexecuted, 0u);
   EXPECT_GT(faulty.result.stats.partitions_reassigned, 0u);
+}
+
+TEST(FaultMatrix, CrashAfterCompletionLeavesResultUntouched) {
+  // The job's only crash fires after its last node finished: it must not
+  // count toward the job — crash-free elapsed time to the bit, no recovery
+  // work, identical output bytes.
+  constexpr int kWide = 8;
+  const util::Bytes text = corpus();
+  const auto no_tweak = [](core::JobConfig&) {};
+  const RunOutcome clean = run_wc(text, no_tweak, kWide);
+  const double late = clean.result.elapsed_seconds + 10e-3;
+  const RunOutcome faulty = run_wc(
+      text,
+      [&](core::JobConfig& cfg) {
+        cfg.crash_events.push_back({.node = 2, .time = late});
+      },
+      kWide);
+  EXPECT_TRUE(faulty.trace_error.empty()) << faulty.trace_error;
+  EXPECT_EQ(faulty.result.elapsed_seconds, clean.result.elapsed_seconds);
+  EXPECT_EQ(fault_stats(faulty.result.stats), FaultStats{});
+  EXPECT_EQ(faulty.files, clean.files);
+}
+
+// A crash that reaches a job with no crash exposure (no crash_events, no
+// crash-injecting tenant, not preemptable) finds its durable-output ledger
+// unarmed; recovering from the empty ledger would silently lose output, so
+// the job must abort instead.
+TEST(FaultDeathTest, CrashReachingUnarmedLedgerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const util::Bytes text = corpus();
+  const double when = 0.5 * run_wc(text).result.map_phase_seconds;
+  EXPECT_DEATH(
+      {
+        Platform p = make_platform();
+        dfs::Dfs fs(p, dfs::DfsConfig{});
+        stage(p, fs, "/in", text);
+        core::GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
+        p.sim().schedule_node_crash(2, when);
+        rt.run(apps::wordcount().kernels, wc_config());
+      },
+      "durable-output ledger is not armed");
 }
 
 // ---- straggler speculation ----
