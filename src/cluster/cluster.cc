@@ -34,41 +34,8 @@ Node::Node(sim::Simulation& sim, int id, NodeSpec spec)
   host_cores_ = std::make_unique<sim::Resource>(sim_, spec_.hw_threads);
 }
 
-sim::Task<> Node::disk_read(std::uint64_t bytes) {
-  disk_bytes_read_ += bytes;
-  auto hold = co_await disk_->acquire();
-  co_await sim_.delay(spec_.disk.seek_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.disk.read_bw_bytes_per_s);
-}
-
-sim::Task<> Node::disk_write(std::uint64_t bytes) {
-  disk_bytes_written_ += bytes;
-  auto hold = co_await disk_->acquire();
-  co_await sim_.delay(spec_.disk.seek_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.disk.write_bw_bytes_per_s);
-}
-
-sim::Task<> Node::disk_stream_read(std::uint64_t bytes, double seek_fraction) {
-  disk_bytes_read_ += bytes;
-  auto hold = co_await disk_->acquire();
-  co_await sim_.delay(seek_fraction * spec_.disk.seek_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.disk.read_bw_bytes_per_s);
-}
-
-sim::Task<> Node::disk_stream_write(std::uint64_t bytes, double seek_fraction) {
-  disk_bytes_written_ += bytes;
-  auto hold = co_await disk_->acquire();
-  co_await sim_.delay(seek_fraction * spec_.disk.seek_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.disk.write_bw_bytes_per_s);
-}
-
-sim::Task<> Node::disk_stream_read_bw(std::uint64_t bytes,
-                                      double seek_fraction,
-                                      double bw_bytes_per_s) {
+sim::Task<> Node::disk_stream_read(std::uint64_t bytes, double seek_fraction,
+                                   double bw_bytes_per_s) {
   const double bw =
       bw_bytes_per_s > 0 ? bw_bytes_per_s : spec_.disk.read_bw_bytes_per_s;
   disk_bytes_read_ += bytes;
@@ -77,9 +44,8 @@ sim::Task<> Node::disk_stream_read_bw(std::uint64_t bytes,
                       static_cast<double>(bytes) / bw);
 }
 
-sim::Task<> Node::disk_stream_write_bw(std::uint64_t bytes,
-                                       double seek_fraction,
-                                       double bw_bytes_per_s) {
+sim::Task<> Node::disk_stream_write(std::uint64_t bytes, double seek_fraction,
+                                    double bw_bytes_per_s) {
   const double bw =
       bw_bytes_per_s > 0 ? bw_bytes_per_s : spec_.disk.write_bw_bytes_per_s;
   disk_bytes_written_ += bytes;

@@ -67,24 +67,17 @@ class Node {
   // partitioner threads and merger threads (§IV-B).
   sim::Resource& host_cores() { return *host_cores_; }
 
-  // Charges a disk read/write of `bytes` (seek + streaming).
-  sim::Task<> disk_read(std::uint64_t bytes);
-  sim::Task<> disk_write(std::uint64_t bytes);
-
-  // Streaming variants for sequential/page-cache-friendly access patterns:
-  // charge bandwidth plus `seek_fraction` of a full seek. Scaled-down
-  // datasets read in small chunks would otherwise pay one full seek per
-  // chunk, which real systems amortize over sequential block streaming; use
+  // Charges a disk read/write of `bytes`: streaming at `bw_bytes_per_s`
+  // (<= 0 = the disk spec's bandwidth; spill traffic may override it) plus
+  // `seek_fraction` of a full seek. 1.0 is a random access; sequential,
+  // page-cache-friendly patterns pay less, since scaled-down datasets read
+  // in small chunks would otherwise pay one full seek per chunk, which real
+  // systems amortize over sequential block streaming. Use
   // amortized_seek(bytes) for "one seek per ~8 MB of contiguous I/O".
-  sim::Task<> disk_stream_read(std::uint64_t bytes, double seek_fraction = 0);
-  sim::Task<> disk_stream_write(std::uint64_t bytes, double seek_fraction = 0);
-
-  // Bandwidth-override variants for spill traffic: `bw_bytes_per_s` <= 0
-  // falls back to the disk spec (making them identical to the defaults).
-  sim::Task<> disk_stream_read_bw(std::uint64_t bytes, double seek_fraction,
-                                  double bw_bytes_per_s);
-  sim::Task<> disk_stream_write_bw(std::uint64_t bytes, double seek_fraction,
-                                   double bw_bytes_per_s);
+  sim::Task<> disk_stream_read(std::uint64_t bytes, double seek_fraction = 0,
+                               double bw_bytes_per_s = 0);
+  sim::Task<> disk_stream_write(std::uint64_t bytes, double seek_fraction = 0,
+                                double bw_bytes_per_s = 0);
 
   static double amortized_seek(std::uint64_t bytes) {
     const double f = static_cast<double>(bytes) / (8 << 20);

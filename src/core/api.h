@@ -156,7 +156,6 @@ struct JobConfig {
   // Intermediate data management (§III-B, §IV-B3).
   int partitions_per_node = 8;      // P
   int partitioner_threads = 4;      // N
-  int merger_threads = 0;           // 0 = match partitions_per_node
   std::uint64_t cache_threshold_bytes = 24ull << 20;
   int max_disk_runs = 8;
 
@@ -168,11 +167,9 @@ struct JobConfig {
   // (core::MemoryGovernor), blocking deterministically under pressure; the
   // store spills sorted runs to disk and consolidates them with a
   // multi-level merge whose fan-in derives from the merge pool budget:
-  //   fan_in = max(2, merge_pool_bytes / merge_io_buffer_bytes - 1)
-  // (one i/o buffer per input run plus one for the merged output).
+  //   fan_in = max(2, merge_pool_bytes / 256 KiB - 1)
+  // (one 256 KiB i/o buffer per input run plus one for the merged output).
   std::uint64_t node_memory_bytes = 0;
-  // Streaming i/o buffer granularity for budget-governed merges.
-  std::uint64_t merge_io_buffer_bytes = 256ull << 10;
   // Disk bandwidth override for spill writes and spill-merge i/o
   // (bytes/s, applied to both directions); 0 = the node's disk spec.
   double spill_bandwidth_bytes_per_s = 0;
@@ -185,9 +182,6 @@ struct JobConfig {
   // NetworkProfile rack_size); the runtime normalizes impossible requests
   // down (kRack -> kNode -> kOff) instead of failing.
   CombineMode combine_mode = CombineMode::kOff;
-  // Ungoverned runs: buffered pre-combine bytes per node before a combine
-  // flush. Governed runs use the governor's combine pool instead.
-  std::uint64_t combine_buffer_bytes = 4ull << 20;
 
   // Reduce pipeline (§III-C, §IV-B4).
   int concurrent_keys = 4096;
@@ -237,13 +231,6 @@ struct JobConfig {
   // idle node once no fresh work remains; first finisher commits, the
   // loser's duplicate output is dropped by the dedup layer.
   bool speculate = false;
-  // JobTracker-style failure-detection timeout: synthetic EOS frames for a
-  // dead sender are injected this long after the crash, giving the dead
-  // node's in-flight wire traffic time to drain.
-  double crash_detection_delay_s = 20e-3;
-  // Safety valve for pathological crash schedules: maximum number of
-  // recovery rounds before the job aborts.
-  int max_recovery_rounds = 8;
   // Set by core::JobDag (>= 0 = this job is round N of a multi-round DAG):
   // the tracer is not cleared between rounds (the trace covers the whole
   // DAG, with one kRound span per executed job), nodes dead at job start
@@ -252,10 +239,6 @@ struct JobConfig {
   // can rewind to the last round whose inputs still exist. Single jobs
   // (-1) keep the legacy behavior: data loss is fatal.
   int dag_round = -1;
-
-  int effective_merger_threads() const {
-    return merger_threads > 0 ? merger_threads : partitions_per_node;
-  }
 };
 
 // Per-stage busy times measured by the pipeline instrumentation; the basis

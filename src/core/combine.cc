@@ -8,6 +8,10 @@ namespace gw::core {
 
 namespace {
 
+// Ungoverned runs: buffered pre-combine bytes per node before a combine
+// flush. Governed runs use the governor's combine pool instead.
+constexpr std::uint64_t kCombineBufferBytes = 4ull << 20;
+
 // Bridges the combine function's emits into a RunBuilder. The combine
 // contract (emit the group's key) keeps the builder's input key-sorted.
 class RunBuilderEmitter : public ReduceEmitter {
@@ -54,28 +58,6 @@ Run combine_runs(const std::vector<const Run*>& inputs,
   return rb.finish(compress);
 }
 
-util::Bytes encode_combined_frame(int g,
-                                  const std::vector<std::uint64_t>& tags,
-                                  const Run& run) {
-  util::ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(g));
-  w.put_u32(static_cast<std::uint32_t>(tags.size()));
-  for (std::uint64_t t : tags) w.put_u64(t);
-  run.serialize(w);
-  return w.take();
-}
-
-sim::Task<> send_combined_dropping(NodeContext ctx, int dst, int port,
-                                   net::TrafficClass tc, util::Bytes wire) {
-  try {
-    co_await ctx.platform->transport().send(ctx.node_id, dst, port, tc,
-                                            std::move(wire), 0);
-  } catch (const net::NodeDownError&) {
-    // A crash raced the send (either endpoint): drop it. If the data
-    // mattered, the recovery round re-sends its pre-combine provenance.
-  }
-}
-
 NodeCombiner::NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo)
     : ctx_(std::move(ctx)),
       tier_(tier),
@@ -107,8 +89,7 @@ sim::Task<> NodeCombiner::add(int g, std::vector<std::uint64_t> tags,
       co_return;
     }
     hold = co_await ctx_.mem->acquire(MemoryGovernor::Pool::kCombine, bytes);
-  } else if (buffered_ > 0 &&
-             buffered_ + bytes > ctx_.config->combine_buffer_bytes) {
+  } else if (buffered_ > 0 && buffered_ + bytes > kCombineBufferBytes) {
     co_await flush_all();
   }
   Bucket& b = buckets_[g];
@@ -195,9 +176,9 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
       return;
     }
   }
-  util::Bytes wire = encode_combined_frame(g, tags, run);
-  if (dst != ctx_.node_id) metrics_.wire_bytes += wire.size();
-  sends_.spawn(send_combined_dropping(ctx_, dst, port, tc, std::move(wire)));
+  const std::uint64_t wire =
+      send_run(ctx_, sends_, dst, port, tc, g, run, std::move(tags));
+  if (dst != ctx_.node_id) metrics_.wire_bytes += wire;
 }
 
 sim::Task<> NodeCombiner::drain() {

@@ -21,10 +21,12 @@
 //
 // Correctness contract: the app declares AppKernels::combine_associative,
 // promising that reducing combined partials is byte-identical to reducing
-// the raw values under any grouping. Combined runs carry the union of their
-// constituents' dedup tags, so crash recovery's replay of pre-combine
-// provenance (ledger re-feeds, split re-execution) deduplicates exactly
-// against what already arrived combined.
+// the raw values under any grouping. A combined run is ordinary map output
+// on the wire — the same u32 g | run frame (send_run) — and carries the
+// union of its constituents' dedup tags out-of-band (net::Message::tags),
+// so crash recovery's replay of pre-combine provenance (ledger re-feeds,
+// split re-execution) deduplicates exactly against what already arrived
+// combined (IntermediateStore::add_run).
 #pragma once
 
 #include <algorithm>
@@ -72,7 +74,7 @@ struct CombineMetrics {
   std::uint64_t out_bytes = 0;     // stored bytes leaving combine passes
   std::uint64_t flushes = 0;       // combine passes executed
   std::uint64_t passthrough = 0;   // runs forwarded uncombined (over budget)
-  std::uint64_t wire_bytes = 0;    // framed bytes handed to the transport
+  std::uint64_t wire_bytes = 0;    // remote frame bytes sent
 };
 
 // One combining stage: buffers runs per global partition, merge-combines
@@ -88,8 +90,7 @@ class NodeCombiner {
 
   // `topo.rack_size == 0` (node mode) routes everything straight to the
   // owner. Governed (`ctx.mem` non-null) staging draws from the governor's
-  // combine pool; ungoverned staging flushes past
-  // JobConfig::combine_buffer_bytes.
+  // combine pool; ungoverned staging flushes past 4 MiB of buffered runs.
   NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo);
 
   // Buffers one run for global partition g, tagged with the union of its
@@ -121,7 +122,8 @@ class NodeCombiner {
 
   sim::Task<> flush(int g);
   sim::Task<> flush_all();
-  // Serializes the combined frame and spawns the (crash-tolerant) send.
+  // Sends a run (send_run) toward its partition owner; at the map tier,
+  // extra-rack output goes via the rack aggregator instead.
   void route(int g, std::vector<std::uint64_t> tags, Run run);
 
   NodeContext ctx_;
@@ -135,17 +137,5 @@ class NodeCombiner {
   std::int32_t combine_name_ = -1;
   CombineMetrics metrics_;
 };
-
-// Combined-run wire framing on kPortShuffle / kPortRackAgg when a combine
-// mode is active: u32 g | u32 ntags | ntags x u64 tags | serialized run.
-// (Recovery ports keep the legacy u32 g | run framing.)
-util::Bytes encode_combined_frame(int g,
-                                  const std::vector<std::uint64_t>& tags,
-                                  const Run& run);
-
-// Spawnable combined-frame send mirroring send_run_dropping: a crash racing
-// the transfer is swallowed, recovery replays the provenance.
-sim::Task<> send_combined_dropping(NodeContext ctx, int dst, int port,
-                                   net::TrafficClass tc, util::Bytes wire);
 
 }  // namespace gw::core

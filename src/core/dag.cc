@@ -9,6 +9,9 @@ namespace gw::core {
 
 namespace {
 
+// Pinned-loss rewinds before the DAG aborts.
+constexpr int kMaxReplays = 4;
+
 sim::Task<> read_file_task(dfs::FileSystem& fs, std::string path,
                            util::Bytes* out) {
   // Driver readback from the first block holder (a pinned file reads
@@ -132,7 +135,7 @@ void JobDag::rewind(std::vector<Done>& done, DagResult& out, DagRoundState& st,
                     const std::vector<std::string>& failed_inputs,
                     const std::vector<std::string>& failed_outputs) {
   ++out.replays;
-  GW_CHECK_MSG(out.replays <= config_.max_replays,
+  GW_CHECK_MSG(out.replays <= kMaxReplays,
                "DAG replay limit exceeded: pinned inputs keep vanishing");
   // The failed round's committed partitions were produced without the lost
   // splits: delete the garbage before the replay re-writes the paths.

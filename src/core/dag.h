@@ -80,7 +80,6 @@ struct DagConfig {
   // governor's store share (40%) from base.node_memory_bytes, or
   // unlimited for ungoverned jobs.
   std::uint64_t pin_budget_bytes = 0;
-  int max_replays = 4;  // pinned-loss rewinds before the DAG aborts
   // Crash injected while logical round `round` executes (fires once; a
   // replay of the round runs crash-free).
   struct RoundCrash {

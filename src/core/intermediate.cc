@@ -7,6 +7,14 @@
 
 namespace gw::core {
 
+namespace {
+
+// Streaming i/o buffer granularity for budget-governed merges: a merge of
+// k runs holds k + 1 of them (one per input plus the merged output).
+constexpr std::uint64_t kMergeIoBufferBytes = 256ull << 10;
+
+}  // namespace
+
 IntermediateStore::IntermediateStore(cluster::Node& node, sim::Simulation& sim,
                                      const JobConfig& config,
                                      MemoryGovernor* mem)
@@ -24,39 +32,19 @@ IntermediateStore::IntermediateStore(cluster::Node& node, sim::Simulation& sim,
 IntermediateStore::~IntermediateStore() = default;
 
 sim::Task<> IntermediateStore::add_run(int g, Run run,
-                                       std::uint64_t dedup_tag) {
-  GW_CHECK(g >= 0);
-  if (run.empty()) co_return;
-  Part& part = parts_[g];
-  if (dedup_tag != 0 && !part.seen_tags.insert(dedup_tag).second) {
-    ++dup_dropped_;  // byte-identical regeneration of a run already taken in
-    co_return;
-  }
-  co_await admit(part, std::move(run));
-}
-
-sim::Task<> IntermediateStore::add_combined_run(
-    int g, Run run, std::vector<std::uint64_t> tags) {
+                                       std::vector<std::uint64_t> tags) {
   GW_CHECK(g >= 0);
   if (run.empty()) co_return;
   Part& part = parts_[g];
   std::size_t seen = 0;
-  for (std::uint64_t t : tags) {
-    if (t != 0 && part.seen_tags.count(t) > 0) ++seen;
-  }
+  for (std::uint64_t t : tags) seen += part.seen_tags.count(t);
   if (!tags.empty() && seen == tags.size()) {
-    ++dup_dropped_;  // a regrouped duplicate of runs already taken in
+    ++dup_dropped_;  // a byte-identical or regrouped duplicate
     co_return;
   }
-  GW_CHECK_MSG(seen == 0,
-               "combined run partially overlaps already-seen dedup tags");
-  for (std::uint64_t t : tags) {
-    if (t != 0) part.seen_tags.insert(t);
-  }
-  co_await admit(part, std::move(run));
-}
+  GW_CHECK_MSG(seen == 0, "run partially overlaps already-seen dedup tags");
+  part.seen_tags.insert(tags.begin(), tags.end());
 
-sim::Task<> IntermediateStore::admit(Part& part, Run run) {
   const std::uint64_t bytes = run.stored_bytes();
   sim::Resource::Hold hold;
   if (mem_ != nullptr) {
@@ -92,10 +80,8 @@ std::uint64_t IntermediateStore::effective_cache_threshold() const {
 
 std::size_t IntermediateStore::fanin_limit() const {
   if (mem_ == nullptr) return std::numeric_limits<std::size_t>::max();
-  const std::uint64_t buf =
-      std::max<std::uint64_t>(1, config_.merge_io_buffer_bytes);
   const std::uint64_t slots =
-      mem_->pool_budget(MemoryGovernor::Pool::kMerge) / buf;
+      mem_->pool_budget(MemoryGovernor::Pool::kMerge) / kMergeIoBufferBytes;
   // One i/o buffer per input run plus one for the merged output.
   return std::max<std::size_t>(
       2, slots > 1 ? static_cast<std::size_t>(slots - 1) : 2);
@@ -125,7 +111,8 @@ void IntermediateStore::enqueue(int g) {
 
 void IntermediateStore::start_mergers() {
   if (mergers_ == nullptr) mergers_ = std::make_unique<sim::TaskGroup>(sim_);
-  for (int i = 0; i < config_.effective_merger_threads(); ++i) {
+  // One merger thread per local partition (§III-B).
+  for (int i = 0; i < config_.partitions_per_node; ++i) {
     if (static_cast<std::size_t>(i) >= merger_tracks_.size()) {
       merger_tracks_.push_back(
           sim_.tracer().track(node_.id(), "store/" + std::to_string(i)));
@@ -224,7 +211,7 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
     if (mem_ != nullptr) {
       scratch = co_await mem_->acquire(
           MemoryGovernor::Pool::kMerge,
-          (cached.size() + 1) * config_.merge_io_buffer_bytes);
+          (cached.size() + 1) * kMergeIoBufferBytes);
     }
     ++merges_;
     merge_fanin_runs_ += cached.size();
@@ -255,7 +242,7 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
       if (mem_ != nullptr) {
         tr.begin(track, trace::Kind::kSpill, spill_name_, sim_.now(),
                  merged.stored_bytes());
-        co_await node_.disk_stream_write_bw(
+        co_await node_.disk_stream_write(
             merged.stored_bytes(),
             cluster::Node::amortized_seek(merged.stored_bytes()), spill_bw);
         tr.end(track, trace::Kind::kSpill, spill_name_, sim_.now());
@@ -308,12 +295,12 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
     if (mem_ != nullptr) {
       scratch = co_await mem_->acquire(
           MemoryGovernor::Pool::kMerge,
-          (take + 1) * config_.merge_io_buffer_bytes);
+          (take + 1) * kMergeIoBufferBytes);
     }
     // As in step 1, the charge is size-determined: overlap the real merge
     // with the simulated disk read + cpu charges.
     auto merging = sim_.offload([&inputs] { return merge_runs(inputs, true); });
-    co_await node_.disk_stream_read_bw(
+    co_await node_.disk_stream_read(
         in_stored, cluster::Node::amortized_seek(in_stored), spill_bw);
     ++merges_;
     merge_fanin_runs_ += inputs.size();
@@ -325,7 +312,7 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
     Run merged = co_await sim_.join(std::move(merging));
     GW_CHECK(merged.raw_bytes == in_raw);
     tr.end(track, trace::Kind::kMerge, merge_name_, sim_.now());
-    co_await node_.disk_stream_write_bw(
+    co_await node_.disk_stream_write(
         merged.stored_bytes(),
         cluster::Node::amortized_seek(merged.stored_bytes()), spill_bw);
     part.disk.push_back(std::move(merged));

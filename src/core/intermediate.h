@@ -11,8 +11,8 @@
 // store becomes a budgeted external sorter: producers block on the store
 // pool before caching a run, pressure spills always go to disk, and the
 // on-disk runs are consolidated by a multi-level merge tree whose fan-in is
-// computed from the merge-pool budget (fan_in = merge_pool /
-// merge_io_buffer_bytes - 1, floor 2). Each disk run carries its merge
+// computed from the merge-pool budget (fan_in = merge_pool / 256 KiB merge
+// i/o buffer - 1, floor 2). Each disk run carries its merge
 // level; the deepest level produced is the merge_levels metric. Without a
 // governor every path below reduces to the legacy unbounded-memory
 // behavior, byte-identically.
@@ -54,24 +54,20 @@ class IntermediateStore {
   // asynchronous); governed, it blocks on the store pool until the run's
   // bytes fit — the producer-side backpressure of the external sort.
   //
-  // `dedup_tag` (nonzero) identifies the producing (split, chunk): task
-  // re-execution and speculative clones regenerate byte-identical runs with
-  // the same tag, and a tag already seen for `g` is dropped. Tags are
+  // `tags` are the dedup tags of the run's producers: one split tag for a
+  // map run, the union of its inputs' tags for a hierarchically combined
+  // run, none for untagged data. Task re-execution, speculative clones and
+  // ledger re-feeds regenerate byte-identical runs under the same tags.
+  // Dedup is all-or-nothing: every tag already seen for `g` drops the run
+  // as a duplicate, none seen records them all and admits it. A partial
+  // overlap would mean two different groupings of the same producer's
+  // output reached this store, which the shuffle protocol cannot produce
+  // (combined runs travel only on the main shuffle port, whose runs are all
+  // stored before any recovery-port re-feed) — it aborts. Tags are
   // remembered for the store's whole lifetime — including across
   // take_partition — so a run consumed by reduce still shadows late
   // duplicates. Pure host-side bookkeeping: no simulated cost either way.
-  sim::Task<> add_run(int g, Run run, std::uint64_t dedup_tag = 0);
-
-  // Adds a run produced by a hierarchical combine pass over several
-  // producers' runs; `tags` is the union of the constituents' dedup tags.
-  // Dedup is all-or-nothing: every tag already seen drops the run as a
-  // duplicate, none seen records them all and admits it. A partial overlap
-  // would mean two different groupings of the same producer's output
-  // reached this store, which the shuffle protocol cannot produce (combined
-  // runs travel only on the main shuffle port, whose runs are all stored
-  // before any recovery-port re-feed) — it aborts.
-  sim::Task<> add_combined_run(int g, Run run,
-                               std::vector<std::uint64_t> tags);
+  sim::Task<> add_run(int g, Run run, std::vector<std::uint64_t> tags = {});
 
   // Runs dropped as duplicates of an already-seen dedup tag.
   std::uint64_t duplicate_runs_dropped() const { return dup_dropped_; }
@@ -125,9 +121,6 @@ class IntermediateStore {
     std::set<std::uint64_t> seen_tags;  // never cleared (see add_run)
   };
 
-  // Shared admission tail of add_run/add_combined_run: governed
-  // backpressure, cache accounting and flush triggering.
-  sim::Task<> admit(Part& part, Run run);
   sim::Task<> merger_loop(trace::TrackRef track);
   sim::Task<> service(int g, trace::TrackRef track);
   void enqueue(int g);

@@ -19,6 +19,14 @@ namespace gw::core {
 
 namespace {
 
+// JobTracker-style failure-detection timeout: synthetic EOS frames for a
+// dead sender are injected this long after the crash, giving the dead
+// node's in-flight wire traffic time to drain.
+constexpr double kCrashDetectionDelayS = 20e-3;
+// Safety valve for pathological crash schedules: recovery rounds one job
+// may run before it aborts.
+constexpr int kMaxRecoveryRounds = 8;
+
 // Job-wide fault-tolerance state shared by every node's coroutine and the
 // crash listener. The simulation is single-threaded, so plain members
 // suffice. Apart from the completion barrier everything here is host-side
@@ -84,30 +92,15 @@ sim::Task<> shuffle_receiver(NodeContext ctx, int port, int expected,
   for (;;) {
     auto msg = co_await rx.recv();
     if (!msg) break;
+    // One frame everywhere (send_run): u32 g | run, tags out-of-band.
     util::ByteReader r(msg->payload);
     const int g = static_cast<int>(r.get_u32());
-    // With a combine mode active, everything on the MAIN shuffle port is
-    // combined-framed (u32 g | u32 ntags | tags | run) — recovery ports
-    // keep the legacy framing, replayed provenance stays uncombined.
-    const bool combined =
-        ctx.config->combine_mode != CombineMode::kOff &&
-        port == ctx.port_base + net::kPortShuffle;
-    std::vector<std::uint64_t> tags;
-    if (combined) {
-      tags.resize(r.get_u32());
-      for (auto& t : tags) t = r.get_u64();
-    }
     // Drop zombie/stale deliveries: a dead node's store is never reduced
     // (and feeding it would initiate new cache-flush work on a dead
     // machine). A live node always still owns what was routed to it —
     // ownership only ever moves off dead nodes.
     if (!ctx.self_live() || ctx.owner_of(g) != ctx.node_id) continue;
-    if (combined) {
-      co_await ctx.store->add_combined_run(g, Run::deserialize(r),
-                                           std::move(tags));
-    } else {
-      co_await ctx.store->add_run(g, Run::deserialize(r), msg->tag);
-    }
+    co_await ctx.store->add_run(g, Run::deserialize(r), std::move(msg->tags));
   }
   done.set();
 }
@@ -132,10 +125,8 @@ sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
     if (!msg) break;
     util::ByteReader r(msg->payload);
     const int g = static_cast<int>(r.get_u32());
-    std::vector<std::uint64_t> tags(r.get_u32());
-    for (auto& t : tags) t = r.get_u64();
     if (!ctx.self_live()) continue;  // zombie: drain the stream only
-    co_await agg.add(g, std::move(tags), Run::deserialize(r));
+    co_await agg.add(g, std::move(msg->tags), Run::deserialize(r));
   }
   if (ctx.self_live()) {
     co_await agg.drain();
@@ -166,6 +157,45 @@ sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
   }
 }
 
+// Re-feeds this node's durable map output for `partitions` from `ledger`:
+// one sequential read of their runs back from local disk, then every run,
+// under its original dedup tag, enters the local store if this node owns
+// the partition and is re-sent (send_run on ctx.shuffle_port, spawned into
+// `sends`, counted in `m`) to the owner otherwise. A non-null
+// `record_into` re-records each run, so a resumed residency's fresh ledger
+// keeps full provenance for a later suspension or crash.
+sim::Task<> replay_ledger(NodeContext ctx, const MapOutputLedger& ledger,
+                          std::vector<int> partitions, MapMetrics& m,
+                          sim::TaskGroup& sends,
+                          MapOutputLedger* record_into) {
+  std::uint64_t bytes = 0;
+  for (int g : partitions) {
+    const auto it = ledger.runs.find(g);
+    if (it == ledger.runs.end()) continue;
+    for (const auto& [tag, run] : it->second) bytes += run.stored_bytes();
+  }
+  if (bytes == 0 || !ctx.self_live()) co_return;
+  co_await ctx.node->disk_stream_read(bytes,
+                                      cluster::Node::amortized_seek(bytes));
+  for (int g : partitions) {
+    const auto it = ledger.runs.find(g);
+    if (it == ledger.runs.end()) continue;
+    if (!ctx.self_live()) break;
+    const int dest = ctx.owner_of(g);
+    for (const auto& [tag, run] : it->second) {
+      if (record_into != nullptr) record_into->record(g, tag, run);
+      std::vector<std::uint64_t> tags(1, tag);
+      if (dest == ctx.node_id) {
+        co_await ctx.store->add_run(g, run, std::move(tags));
+      } else {
+        m.shuffle_bytes_remote +=
+            send_run(ctx, sends, dest, ctx.shuffle_port,
+                     net::TrafficClass::kShuffle, g, run, std::move(tags));
+      }
+    }
+  }
+}
+
 // Executes every recovery round this node has not handled yet (§III-E).
 // Round r (== the r-th crash) re-runs, on the survivors, the map work whose
 // durable output died with the crashed node, and re-feeds the partitions
@@ -184,8 +214,8 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
   while (state.handled_epoch < shared.crash_epoch) {
     if (!ctx.self_live()) co_return;
     const int round = ++state.handled_epoch;
-    GW_CHECK_MSG(round <= cfg.max_recovery_rounds,
-                 "recovery exceeded max_recovery_rounds");
+    GW_CHECK_MSG(round <= kMaxRecoveryRounds,
+                 "recovery exceeded the recovery-round limit");
     shared.rounds_entered.insert(round);
     const int port = ctx.port_base + net::kPortRecoveryBase + round;
     const std::vector<int>& participants = shared.round_participants[round];
@@ -232,36 +262,10 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     // Re-feed the reassigned partitions from the durable-output ledger: our
     // own past contributions for every partition moved this round, re-read
     // from local disk and re-sent to the new owner (no map re-execution).
-    std::uint64_t ledger_bytes = 0;
-    std::vector<int> resend;
-    for (int g : shared.reassigned[round]) {
-      auto it = state.ledger.runs.find(g);
-      if (it == state.ledger.runs.end()) continue;
-      for (const auto& [tag, run] : it->second) {
-        ledger_bytes += run.stored_bytes();
-      }
-      resend.push_back(g);
-    }
+    const std::vector<int>& moved = shared.reassigned[round];
     sim::TaskGroup sends(sim);
-    if (ctx.self_live() && ledger_bytes > 0) {
-      co_await ctx.node->disk_stream_read(
-          ledger_bytes, cluster::Node::amortized_seek(ledger_bytes));
-    }
-    for (int g : resend) {
-      if (!ctx.self_live()) break;
-      const int dest = rctx.owner_of(g);
-      for (const auto& [tag, run] : state.ledger.runs[g]) {
-        if (dest == ctx.node_id) {
-          // We are the new owner: our old contributions re-enter locally.
-          co_await ctx.store->add_run(g, run, tag);
-        } else {
-          util::ByteWriter w;
-          w.put_u32(static_cast<std::uint32_t>(g));
-          run.serialize(w);
-          sends.spawn(send_run_dropping(rctx, dest, w.take(), tag));
-        }
-      }
-    }
+    co_await replay_ledger(rctx, state.ledger, moved, state.map, sends,
+                           nullptr);
 
     // Rack mode: if this round's crash took our rack's aggregator, any of
     // our extra-rack contributions still staged in (or in flight to) it
@@ -272,35 +276,17 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     if (cfg.combine_mode == CombineMode::kRack) {
       RackTopology topo{ctx.platform->fabric().profile().rack_size,
                         ctx.num_nodes};
-      const int my_rack = topo.rack_of(ctx.node_id);
       const auto dead_it = shared.crashed_node.find(round);
       if (dead_it != shared.crashed_node.end() &&
-          dead_it->second == topo.aggregator_of(my_rack)) {
-        const std::vector<int>& moved = shared.reassigned[round];
-        std::uint64_t agg_bytes = 0;
-        std::vector<int> agg_resend;
+          dead_it->second == topo.aggregator_of(topo.rack_of(ctx.node_id))) {
+        std::vector<int> extra_rack;
         for (const auto& [g, entries] : state.ledger.runs) {
           if (topo.same_rack(rctx.owner_of(g), ctx.node_id)) continue;
           if (std::binary_search(moved.begin(), moved.end(), g)) continue;
-          for (const auto& [tag, run] : entries) {
-            agg_bytes += run.stored_bytes();
-          }
-          agg_resend.push_back(g);
+          extra_rack.push_back(g);
         }
-        if (ctx.self_live() && agg_bytes > 0) {
-          co_await ctx.node->disk_stream_read(
-              agg_bytes, cluster::Node::amortized_seek(agg_bytes));
-        }
-        for (int g : agg_resend) {
-          if (!ctx.self_live()) break;
-          const int dest = rctx.owner_of(g);
-          for (const auto& [tag, run] : state.ledger.runs[g]) {
-            util::ByteWriter w;
-            w.put_u32(static_cast<std::uint32_t>(g));
-            run.serialize(w);
-            sends.spawn(send_run_dropping(rctx, dest, w.take(), tag));
-          }
-        }
+        co_await replay_ledger(rctx, state.ledger, std::move(extra_rack),
+                               state.map, sends, nullptr);
       }
     }
     co_await sends.wait();
@@ -310,41 +296,6 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     co_await ctx.store->drain();
     tr.end(state.phase_track, trace::Kind::kRecovery, rec_name, sim.now(),
            static_cast<std::uint64_t>(round));
-  }
-}
-
-// Resumed residency (checkpoint-based preemption): re-feed this node's
-// durable runs from the previous residency — read back from local disk and
-// re-sent under their original dedup tags — into the fresh stores, the same
-// ledger replay the recovery rounds use but over the main shuffle port, so
-// the merged store ends up holding the union of replayed and freshly-mapped
-// runs. Replayed runs are re-recorded into the new ledger so a second
-// suspension (or a crash) still has full provenance.
-sim::Task<> refeed_ledger(NodeContext ctx, MapMetrics& m,
-                          sim::TaskGroup& sends) {
-  const MapOutputLedger& led = *ctx.resume_ledger;
-  std::uint64_t bytes = 0;
-  for (const auto& [g, entries] : led.runs) {
-    for (const auto& [tag, run] : entries) bytes += run.stored_bytes();
-  }
-  if (bytes == 0 || !ctx.self_live()) co_return;
-  co_await ctx.node->disk_stream_read(bytes,
-                                      cluster::Node::amortized_seek(bytes));
-  for (const auto& [g, entries] : led.runs) {
-    if (!ctx.self_live()) break;
-    const int dest = ctx.owner_of(g);
-    for (const auto& [tag, run] : entries) {
-      if (ctx.ledger != nullptr) ctx.ledger->record(g, tag, run);
-      if (dest == ctx.node_id) {
-        co_await ctx.store->add_run(g, run, tag);
-      } else {
-        util::ByteWriter w;
-        w.put_u32(static_cast<std::uint32_t>(g));
-        run.serialize(w);
-        m.shuffle_bytes_remote += w.size();
-        sends.spawn(send_run_dropping(ctx, dest, w.take(), tag));
-      }
-    }
   }
 }
 
@@ -403,8 +354,17 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
 
   tr.begin(t, trace::Kind::kPhase, map_name, sim.now());
   if (ctx.resume_ledger != nullptr) {
+    // Resumed residency (checkpoint-based preemption): re-feed every
+    // durable run of the previous residency over the main shuffle port, so
+    // the fresh stores end up holding the union of replayed and freshly
+    // mapped runs, and re-record them into the new ledger.
+    std::vector<int> partitions;
+    for (const auto& [g, entries] : ctx.resume_ledger->runs) {
+      partitions.push_back(g);
+    }
     sim::TaskGroup refeed_sends(sim);
-    co_await refeed_ledger(ctx, state.map, refeed_sends);
+    co_await replay_ledger(ctx, *ctx.resume_ledger, std::move(partitions),
+                           state.map, refeed_sends, ctx.ledger);
     co_await refeed_sends.wait();
   }
   ctx.combiner = state.combiner.get();
@@ -666,9 +626,8 @@ void JobExec::setup() {
   if (!env.governors.empty()) {
     config.combine_mode = CombineMode::kOff;
   }
-  // Preemptable jobs shuffle with the raw framing only: resumed residencies
-  // re-feed ledger runs individually on the main port, which combined
-  // framing at the receivers would misparse.
+  // Preemptable jobs do not combine: no test yet checks that a resumed
+  // residency with combining on produces byte-identical output.
   if (env.preempt != nullptr) {
     config.combine_mode = CombineMode::kOff;
   }
@@ -848,7 +807,7 @@ void JobExec::setup() {
                  double delay) -> sim::Task<> {
       co_await s.delay(delay);
       co_await t.compensate_crash(dead);
-    }(sim, tp, node, config.crash_detection_delay_s));
+    }(sim, tp, node, kCrashDetectionDelayS));
     // Wake parked finishers: the crash may have handed them new work.
     auto old_park = std::move(shared.park);
     shared.park = std::make_unique<sim::Event>(sim);

@@ -447,6 +447,7 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
     // drop. Nonzero by construction (split indices are >= 0).
     const std::uint64_t tag =
         static_cast<std::uint64_t>(item->split.index) + 1;
+    const std::vector<std::uint64_t> tags(1, tag);
     if (ctx.ledger != nullptr) {
       // Durable-output ledger: keep a host-side copy of every run so a
       // reassigned partition can be re-fed from survivors without
@@ -466,25 +467,23 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
       if (dest == ctx.node_id) {
         if (self_alive) {
           co_await ctx.store->add_run(static_cast<int>(g), std::move(run),
-                                      tag);
+                                      tags);
         }
       } else if (ctx.combiner != nullptr) {
         // Hierarchical combining: remote-destined runs stage in the node
         // combiner, which merge-combines duplicates across every map task
         // on this node before anything leaves for the network.
-        co_await ctx.combiner->add(static_cast<int>(g),
-                                   std::vector<std::uint64_t>(1, tag),
-                                   std::move(run));
+        co_await ctx.combiner->add(static_cast<int>(g), tags, std::move(run));
       } else {
-        util::ByteWriter w;
-        w.put_u32(g);
-        run.serialize(w);
-        m.shuffle_bytes_remote += w.size();
-        st.instant(trace::Kind::kShuffle, shuffle_name, w.size());
         // Push shuffle rides the transport: with flow control enabled the
         // spawned send blocks on the stream's credit window, bounding the
         // bytes in flight toward any one receiver.
-        sends.spawn(send_run_dropping(ctx, dest, w.take(), tag));
+        const std::uint64_t wire =
+            send_run(ctx, sends, dest, ctx.shuffle_port,
+                     net::TrafficClass::kShuffle, static_cast<int>(g), run,
+                     tags);
+        m.shuffle_bytes_remote += wire;
+        st.instant(trace::Kind::kShuffle, shuffle_name, wire);
       }
     }
     for (std::uint32_t g : live) buckets[g].clear();

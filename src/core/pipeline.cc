@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "simnet/transport.h"
 #include "util/error.h"
 
 namespace gw::core {
@@ -140,16 +139,34 @@ std::optional<InputSplit> SplitScheduler::next_speculative(int node) {
   return std::nullopt;
 }
 
-sim::Task<> send_run_dropping(NodeContext ctx, int dst, util::Bytes wire,
-                              std::uint64_t tag) {
+namespace {
+
+sim::Task<> send_frame_dropping(net::Transport& tp, int src, int dst, int port,
+                                net::TrafficClass tc, util::Bytes wire,
+                                std::vector<std::uint64_t> tags) {
   try {
-    co_await ctx.platform->transport().send(ctx.node_id, dst, ctx.shuffle_port,
-                                            net::TrafficClass::kShuffle,
-                                            std::move(wire), tag);
+    co_await tp.send(src, dst, port, tc, std::move(wire), std::move(tags));
   } catch (const net::NodeDownError&) {
     // A crash raced the send (either endpoint): drop it. If the data
     // mattered, the recovery round regenerates or re-sends it.
   }
+}
+
+}  // namespace
+
+std::uint64_t send_run(const NodeContext& ctx, sim::TaskGroup& sends, int dst,
+                       int port, net::TrafficClass tc, int g, const Run& run,
+                       std::vector<std::uint64_t> tags) {
+  util::ByteWriter w;
+  // u32 g, then the run's u8 flag, three varints (<= 10 bytes each) and
+  // payload: one allocation per frame.
+  w.buffer().reserve(4 + 1 + 3 * 10 + run.data.size());
+  w.put_u32(static_cast<std::uint32_t>(g));
+  run.serialize(w);
+  const std::uint64_t bytes = w.size();
+  sends.spawn(send_frame_dropping(ctx.platform->transport(), ctx.node_id, dst,
+                                  port, tc, w.take(), std::move(tags)));
+  return bytes;
 }
 
 std::vector<InputSplit> SplitScheduler::make_splits(

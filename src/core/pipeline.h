@@ -26,7 +26,7 @@
 #include "core/intermediate.h"
 #include "gwcl/device.h"
 #include "gwdfs/fs.h"
-#include "simnet/fabric.h"
+#include "simnet/transport.h"
 
 namespace gw::core {
 
@@ -251,11 +251,16 @@ struct NodeContext {
   sim::Simulation& sim() const { return platform->sim(); }
 };
 
-// Spawnable shuffle send that tolerates a node crash racing the transfer:
-// a NodeDownError is swallowed — recovery regenerates the data. The wire
-// payload is the u32 global partition id followed by the serialized run.
-sim::Task<> send_run_dropping(NodeContext ctx, int dst, util::Bytes wire,
-                              std::uint64_t tag);
+// The one shuffle frame: u32 global partition id | serialized run. Encodes
+// it, spawns its transport send to (dst, port) under traffic class `tc`
+// into `sends`, and returns the frame's wire bytes. `tags` — the dedup tags
+// of the run's producers — ride out-of-band on the delivered net::Message,
+// so they cost no wire bytes. The send tolerates a node crash racing the
+// transfer: the NodeDownError is swallowed, and recovery regenerates or
+// re-sends the data if it mattered.
+std::uint64_t send_run(const NodeContext& ctx, sim::TaskGroup& sends, int dst,
+                       int port, net::TrafficClass tc, int g, const Run& run,
+                       std::vector<std::uint64_t> tags);
 
 // Counters only; stage busy times and phase boundaries live in the trace
 // (sim.tracer()), reduced via trace::Tracer::occupancy.

@@ -10,6 +10,24 @@
 
 namespace gw::core {
 
+namespace {
+
+// Per-node pipeline slots: how many resident jobs may run their map (resp.
+// reduce) phase on one node at the same time. 1 = phases from different
+// jobs time-share each node one-at-a-time (shuffle and merge still overlap
+// freely — receivers are never gated, so no cross-job deadlock is
+// possible).
+constexpr int kMapSlotsPerNode = 1;
+constexpr int kReduceSlotsPerNode = 1;
+// Per-job cap on suspensions (bounds displacement thrash).
+constexpr int kMaxPreemptionsPerJob = 1;
+// Elastic mode: total task slots per node, split across residents, and the
+// share of them the most urgent priority class may steal.
+constexpr int kElasticSlotsPerNode = 4;
+constexpr double kElasticStealFrac = 0.5;
+
+}  // namespace
+
 SchedPolicy parse_sched_policy(std::string_view name) {
   if (name == "fifo") return SchedPolicy::kFifo;
   if (name == "fair") return SchedPolicy::kFair;
@@ -31,19 +49,14 @@ Scheduler::Scheduler(GlasswingRuntime& runtime, cluster::Platform& platform,
                      dfs::FileSystem& fs, SchedulerConfig config)
     : runtime_(runtime), platform_(platform), fs_(fs),
       config_(std::move(config)) {
-  GW_CHECK(config_.map_slots_per_node > 0);
-  GW_CHECK(config_.reduce_slots_per_node > 0);
   GW_CHECK(config_.max_resident_jobs > 0);
-  GW_CHECK(config_.max_preemptions_per_job >= 0);
-  GW_CHECK(config_.elastic_slots_per_node > 0);
-  GW_CHECK(config_.elastic_steal_frac >= 0 && config_.elastic_steal_frac <= 1);
   epoch_ = platform_.sim().now();
   const int n = platform_.num_nodes();
   for (int i = 0; i < n; ++i) {
     map_slots_.push_back(std::make_unique<sim::Resource>(
-        platform_.sim(), config_.map_slots_per_node));
+        platform_.sim(), kMapSlotsPerNode));
     reduce_slots_.push_back(std::make_unique<sim::Resource>(
-        platform_.sim(), config_.reduce_slots_per_node));
+        platform_.sim(), kReduceSlotsPerNode));
     env_.map_slots.push_back(map_slots_.back().get());
     env_.reduce_slots.push_back(reduce_slots_.back().get());
   }
@@ -252,7 +265,7 @@ void Scheduler::maybe_preempt() {
   }
   if (victim < 0) return;
   PreemptControl* pc = preempts_[static_cast<std::size_t>(victim)].get();
-  if (pc->preemptions >= config_.max_preemptions_per_job) return;
+  if (pc->preemptions >= kMaxPreemptionsPerJob) return;
   pc->requested = true;
 }
 
@@ -277,7 +290,7 @@ void Scheduler::recompute_shares() {
   if (!config_.elastic_slots) return;
   const int k = static_cast<int>(resident_ids_.size());
   if (k == 0) return;
-  const int total = config_.elastic_slots_per_node;
+  const int total = kElasticSlotsPerNode;
   // Fair baseline: equal instantaneous shares in admission order, clamped
   // to >= 1 so every resident keeps making progress.
   std::vector<int> share(static_cast<std::size_t>(k));
@@ -287,7 +300,7 @@ void Scheduler::recompute_shares() {
   }
   if (config_.policy == SchedPolicy::kPriority && k > 1) {
     // The most urgent resident steals slots one at a time from the least
-    // urgent resident that can spare one, up to steal_frac of the node.
+    // urgent resident that can spare one, up to kElasticStealFrac of the node.
     std::vector<int> order(static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) order[static_cast<std::size_t>(i)] = i;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -302,7 +315,7 @@ void Scheduler::recompute_shares() {
     const int taker_class = results_[static_cast<std::size_t>(
                                 resident_ids_[static_cast<std::size_t>(taker)])]
                                 .priority;
-    int budget = static_cast<int>(config_.elastic_steal_frac * total);
+    int budget = static_cast<int>(kElasticStealFrac * total);
     while (budget > 0) {
       int donor = -1;
       for (auto it = order.rbegin(); it != order.rend(); ++it) {

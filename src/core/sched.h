@@ -48,13 +48,6 @@ const char* sched_policy_name(SchedPolicy policy);
 
 struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kFifo;
-  // Per-node pipeline slots: how many resident jobs may run their map
-  // (resp. reduce) phase on one node at the same time. 1 = phases from
-  // different jobs time-share each node one-at-a-time (shuffle and merge
-  // still overlap freely — receivers are never gated, so no cross-job
-  // deadlock is possible).
-  int map_slots_per_node = 1;
-  int reduce_slots_per_node = 1;
   // Admission control: at most this many jobs resident (admitted, running)
   // at once; further arrivals queue.
   int max_resident_jobs = 4;
@@ -81,8 +74,6 @@ struct SchedulerConfig {
   // strictly-lower-class resident; kFair displaces a resident of the most
   // over-served tenant; kFifo never revokes.
   bool preemption = false;
-  // Per-job cap on suspensions (bounds displacement thrash).
-  int max_preemptions_per_job = 1;
 
   // --- elastic slot reallocation ---
   // Per-JOB per-node slot pools replace the shared phase gates: slots gate
@@ -90,11 +81,9 @@ struct SchedulerConfig {
   // the scheduler resizes each resident's share as residency changes —
   // grow when co-residents finish, shrink (at task boundaries) when new
   // jobs are admitted. kFair targets equal instantaneous shares; kPriority
-  // lets the most urgent class steal up to elastic_steal_frac of a node's
-  // slots from lower classes.
+  // lets the most urgent class steal up to half of a node's slots from
+  // lower classes.
   bool elastic_slots = false;
-  int elastic_slots_per_node = 4;  // total per node, split across residents
-  double elastic_steal_frac = 0.5;
 };
 
 // One job submission. arrival_s is on the simulated clock; submissions must
@@ -134,7 +123,7 @@ struct ScheduledJob {
   int preemptions = 0;  // times this job was suspended mid-run
   int resumes = 0;      // residencies that replayed a suspended remainder
   // The job asked for combining but the runtime forced a weaker mode
-  // (shared governor, or checkpoint-preemptable replay): surfaced here so
+  // (shared governor, or a checkpoint-preemptable job): surfaced here so
   // the degradation is never silent.
   bool combine_degraded = false;
   JobResult result;  // valid iff !rejected && !failed

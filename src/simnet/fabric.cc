@@ -39,8 +39,8 @@ Fabric::Fabric(sim::Simulation& sim, int num_nodes, NetworkProfile profile)
 }
 
 sim::Task<> Fabric::send(int src, int dst, int port, util::Bytes payload,
-                         std::uint64_t tag) {
-  return send_impl(src, dst, port, std::move(payload), false, tag);
+                         std::vector<std::uint64_t> tags) {
+  return send_impl(src, dst, port, std::move(payload), false, std::move(tags));
 }
 
 sim::Task<> Fabric::send_eos(int src, int dst, int port) {
@@ -50,7 +50,7 @@ sim::Task<> Fabric::send_eos(int src, int dst, int port) {
 }
 
 sim::Task<> Fabric::send_impl(int src, int dst, int port, util::Bytes payload,
-                              bool eos, std::uint64_t tag) {
+                              bool eos, std::vector<std::uint64_t> tags) {
   GW_CHECK(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
   const std::size_t bytes = payload.size();
   auto& st = stats_[src];
@@ -62,7 +62,7 @@ sim::Task<> Fabric::send_impl(int src, int dst, int port, util::Bytes payload,
     if (profile_.max_chunk_bytes > 0 && bytes > profile_.max_chunk_bytes) {
       co_await occupy_chunked(src, dst, bytes);
       co_await inbox(dst, port).send(Message(src, port, std::move(payload),
-                                             eos, tag));
+                                             eos, std::move(tags)));
       co_return;
     }
     // Propagation, then cut-through occupancy of sender TX and receiver RX.
@@ -87,7 +87,7 @@ sim::Task<> Fabric::send_impl(int src, int dst, int port, util::Bytes payload,
   // queued sender wakes only after the receiver was scheduled — the same
   // release order the fabric has always had.
   co_await inbox(dst, port).send(
-      Message(src, port, std::move(payload), eos, tag));
+      Message(src, port, std::move(payload), eos, std::move(tags)));
 }
 
 sim::Task<> Fabric::transfer(int src, int dst, std::uint64_t bytes) {

@@ -73,18 +73,20 @@ struct NetworkProfile {
 struct Message {
   Message() : src(-1), port(-1) {}
   Message(int src_in, int port_in, util::Bytes payload_in, bool eos_in = false,
-          std::uint64_t tag_in = 0)
+          std::vector<std::uint64_t> tags_in = {})
       : src(src_in), port(port_in), payload(std::move(payload_in)),
-        eos(eos_in), tag(tag_in) {}
+        eos(eos_in), tags(std::move(tags_in)) {}
 
   int src;
   int port;
   util::Bytes payload;
   bool eos = false;  // end-of-stream marker (net::Transport framing)
-  // Out-of-band sender metadata (e.g. a dedup key for re-executed task
-  // output). Carried in the struct, NOT in the payload: contributes zero
-  // wire bytes, so tagged and untagged sends have identical timing.
-  std::uint64_t tag = 0;
+  // Out-of-band sender metadata: the dedup tags of the producers whose
+  // output the payload carries (one for a map run, the union of its
+  // inputs' tags for a combined run; empty for untagged traffic). Carried
+  // in the struct, NOT in the payload: contributes zero wire bytes, so
+  // tagged and untagged sends have identical timing.
+  std::vector<std::uint64_t> tags;
 };
 
 // Well-known service ports.
@@ -115,8 +117,9 @@ class Fabric {
   // Transfers `payload` from src to dst and enqueues it on (dst, port).
   // Completes when the message has been handed to the destination inbox.
   // Local sends (src == dst) are free of NIC cost but still asynchronous.
+  // `tags` ride out-of-band on the delivered Message (zero wire bytes).
   sim::Task<> send(int src, int dst, int port, util::Bytes payload,
-                   std::uint64_t tag = 0);
+                   std::vector<std::uint64_t> tags = {});
 
   // Delivers an end-of-stream marker on (dst, port). Costs one 4-byte
   // control frame on the wire (the size of the u32 EOF sentinel it
@@ -215,7 +218,7 @@ class Fabric {
   // the release/wakeup order at equal timestamps matches the legacy fabric
   // exactly — goldens depend on that event order.
   sim::Task<> send_impl(int src, int dst, int port, util::Bytes payload,
-                        bool eos, std::uint64_t tag = 0);
+                        bool eos, std::vector<std::uint64_t> tags = {});
   // Chunked wire occupancy for one direction; used by both send and
   // transfer when the message exceeds max_chunk_bytes.
   sim::Task<> occupy_chunked(int src, int dst, std::uint64_t bytes);

@@ -66,7 +66,8 @@ void Transport::check_alive(int src, int dst) const {
 }
 
 sim::Task<> Transport::send(int src, int dst, int port, TrafficClass tc,
-                            util::Bytes payload, std::uint64_t tag) {
+                            util::Bytes payload,
+                            std::vector<std::uint64_t> tags) {
   check_alive(src, dst);
   const std::uint64_t bytes = payload.size();
   account(src, dst, port, tc, bytes);
@@ -76,7 +77,7 @@ sim::Task<> Transport::send(int src, int dst, int port, TrafficClass tc,
     auto hold = co_await window->acquire(credit_units(bytes));
     hold.forget();
   }
-  co_await fabric_.send(src, dst, port, std::move(payload), tag);
+  co_await fabric_.send(src, dst, port, std::move(payload), std::move(tags));
 }
 
 sim::Task<> Transport::transfer(int src, int dst, int port, TrafficClass tc,

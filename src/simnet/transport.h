@@ -90,10 +90,11 @@ class Transport {
   // Delivers `payload` to (dst, port), accounted under `tc`. Blocks on the
   // stream's credit window when flow control is enabled. Throws
   // NodeDownError when src or dst is dead at initiation (operations already
-  // in flight at a crash complete; new ones fail). `tag` rides out-of-band
-  // on the delivered Message (zero wire bytes).
+  // in flight at a crash complete; new ones fail). `tags` ride out-of-band
+  // on the delivered Message::tags: they cost zero wire bytes and are not
+  // counted by the byte accounting below.
   sim::Task<> send(int src, int dst, int port, TrafficClass tc,
-                   util::Bytes payload, std::uint64_t tag = 0);
+                   util::Bytes payload, std::vector<std::uint64_t> tags = {});
 
   // Charges the wire cost of `bytes` without delivering a payload (the real
   // bytes are tracked by a higher layer, e.g. the filesystem). Holds credit

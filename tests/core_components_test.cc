@@ -2,6 +2,7 @@
 // intermediate-data store, and the split scheduler.
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -237,6 +238,74 @@ TEST(IntermediateStore, MergedRunsStaySorted) {
     }
   }
   EXPECT_EQ(total, expected);
+}
+
+// Runs one add_run to completion.
+void add_tagged(Platform& p, IntermediateStore& store, int g,
+                gw::core::Run run, std::vector<std::uint64_t> tags) {
+  p.sim().spawn(store.add_run(g, std::move(run), std::move(tags)));
+  p.sim().run();
+}
+
+std::uint64_t drained_pairs(Platform& p, IntermediateStore& store, int g) {
+  p.sim().spawn([](IntermediateStore& s) -> sim::Task<> {
+    co_await s.drain();
+  }(store));
+  p.sim().run();
+  std::uint64_t disk_bytes = 0;
+  std::uint64_t pairs = 0;
+  for (const gw::core::Run& r : store.take_partition(g, &disk_bytes)) {
+    pairs += r.pairs;
+  }
+  return pairs;
+}
+
+TEST(IntermediateStore, RepeatedSingletonTagIsDroppedAndCounted) {
+  Platform p = make_platform();
+  JobConfig cfg = store_config();
+  cfg.cache_threshold_bytes = 1 << 30;
+  IntermediateStore store(p.node(0), p.sim(), cfg);
+  store.start_mergers();
+  add_tagged(p, store, 0, make_run("a", 10), {7});
+  add_tagged(p, store, 0, make_run("a", 10), {7});  // a re-execution
+  add_tagged(p, store, 1, make_run("a", 10), {7});  // tags are per partition
+  add_tagged(p, store, 0, make_run("b", 10), {8});
+  add_tagged(p, store, 0, make_run("c", 10), {});   // untagged: always in
+  add_tagged(p, store, 0, make_run("c", 10), {});
+  EXPECT_EQ(store.duplicate_runs_dropped(), 1u);
+  EXPECT_EQ(drained_pairs(p, store, 0), 40u);
+}
+
+TEST(IntermediateStore, CombinedRunShadowsSingletonRefeeds) {
+  Platform p = make_platform();
+  JobConfig cfg = store_config();
+  cfg.cache_threshold_bytes = 1 << 30;
+  IntermediateStore store(p.node(0), p.sim(), cfg);
+  store.start_mergers();
+  // A combined run carries the union of its producers' tags; re-feeds of
+  // any producer's own run (ledger replay, re-execution) are duplicates.
+  add_tagged(p, store, 0, make_run("abc", 30), {1, 2, 3});
+  add_tagged(p, store, 0, make_run("a", 10), {1});
+  add_tagged(p, store, 0, make_run("b", 10), {2});
+  add_tagged(p, store, 0, make_run("c", 10), {3});
+  add_tagged(p, store, 0, make_run("abc", 30), {3, 1, 2});
+  add_tagged(p, store, 0, make_run("d", 10), {4});
+  EXPECT_EQ(store.duplicate_runs_dropped(), 4u);
+  EXPECT_EQ(drained_pairs(p, store, 0), 40u);
+}
+
+TEST(IntermediateStoreDeathTest, PartialTagOverlapAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Platform p = make_platform();
+        JobConfig cfg = store_config();
+        IntermediateStore store(p.node(0), p.sim(), cfg);
+        add_tagged(p, store, 0, make_run("a", 10), {1});
+        // A second grouping that includes producer 1's output again.
+        add_tagged(p, store, 0, make_run("ab", 20), {1, 2});
+      },
+      "partially overlaps already-seen dedup tags");
 }
 
 // ---------- split scheduler ----------

@@ -271,7 +271,7 @@ TEST(Node, DiskReadTimeMatchesModel) {
   Platform p = make_platform(1);
   const auto& disk = p.node(0).spec().disk;
   auto reader = [](Platform& pl) -> sim::Task<> {
-    co_await pl.node(0).disk_read(100 << 20);
+    co_await pl.node(0).disk_stream_read(100 << 20, 1.0);
   };
   p.sim().spawn(reader(p));
   p.sim().run();
@@ -284,7 +284,7 @@ TEST(Node, DiskReadTimeMatchesModel) {
 TEST(Node, DiskOperationsSerialize) {
   Platform p = make_platform(1);
   auto reader = [](Platform& pl) -> sim::Task<> {
-    co_await pl.node(0).disk_read(100 << 20);
+    co_await pl.node(0).disk_stream_read(100 << 20, 1.0);
   };
   p.sim().spawn(reader(p));
   p.sim().spawn(reader(p));

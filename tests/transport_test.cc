@@ -1,5 +1,7 @@
 // Tests for net::Transport: traffic-class accounting, end-of-stream
 // framing, credit-based flow control, and receiver protocol checks.
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -44,6 +46,34 @@ TEST(Transport, AccountsPerClassAndPort) {
   EXPECT_EQ(tp.port_bytes(net::kPortDfs), 500u);
   EXPECT_EQ(tp.messages_sent(0, TrafficClass::kShuffle), 1u);
   EXPECT_EQ(tp.port_messages(net::kPortDfs), 1u);
+}
+
+TEST(Transport, TagsRideOutOfBand) {
+  // Dedup tags travel on the delivered Message, not in the payload: they
+  // arrive unchanged and neither the transport nor the fabric counts them.
+  const std::vector<std::uint64_t> tags = {3, 1ull << 40, 7};
+  Platform p = make_platform(2);
+  auto sender = [](Platform& pl,
+                   std::vector<std::uint64_t> t) -> sim::Task<> {
+    co_await pl.transport().send(0, 1, net::kPortShuffle,
+                                 TrafficClass::kShuffle, util::Bytes(1000),
+                                 std::move(t));
+  };
+  auto receiver = [](Platform& pl, std::vector<std::uint64_t>* got,
+                     std::size_t* payload) -> sim::Task<> {
+    auto msg = co_await pl.fabric().inbox(1, net::kPortShuffle).recv();
+    *got = msg->tags;
+    *payload = msg->payload.size();
+  };
+  std::vector<std::uint64_t> got;
+  std::size_t payload = 0;
+  p.sim().spawn(sender(p, tags));
+  p.sim().spawn(receiver(p, &got, &payload));
+  p.sim().run();
+  EXPECT_EQ(got, tags);
+  EXPECT_EQ(payload, 1000u);
+  EXPECT_EQ(p.transport().port_bytes(net::kPortShuffle), 1000u);
+  EXPECT_EQ(p.fabric().bytes_sent(0), 1000u);
 }
 
 TEST(Transport, EosTerminatesReceiverAndReleasesInbox) {
