@@ -10,12 +10,15 @@
 //                 reference implementation
 //   * merge:      N-way merge_runs (N in {2, 8, 64}) vs the priority-queue
 //                 reference implementation
-//   * compress:   lz_compress + lz_decompress roundtrip
-//   * collector:  HashTableCollector emits under Zipf key skew
+//   * compress:   lz_compress + lz_decompress roundtrip, and lz_compress
+//                 over many small (512-byte) runs
+//   * collector:  HashTableCollector emits under Zipf key skew, and the
+//                 finalize (combine or compaction) of the collected chunk
 //
 // Run via bench/run_host_path.sh to record BENCH_hostpath.json; CI smokes it
 // with --benchmark_min_time so regressions in the host path are visible
-// without a profiler.
+// without a profiler. The JSON context records the library's build type
+// and compiler flags (gw_build_type, gw_cxx_flags).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -25,8 +28,17 @@
 #include "core/collector.h"
 #include "core/kv.h"
 #include "core/kv_reference.h"
+#include "gwcl/device.h"
+#include "sim/sim.h"
 #include "util/compress.h"
 #include "util/rng.h"
+
+#ifndef GW_BUILD_TYPE
+#define GW_BUILD_TYPE "unknown"
+#endif
+#ifndef GW_CXX_FLAGS
+#define GW_CXX_FLAGS "unknown"
+#endif
 
 namespace {
 
@@ -199,40 +211,125 @@ void BM_Decompress(benchmark::State& state) {
 }
 BENCHMARK(BM_Decompress);
 
+// Many small runs, the size a partition run of a 64-node terasort ships:
+// per-call set-up cost, not matching speed, dominates here.
+constexpr std::size_t kSmallRunBytes = 512;
+constexpr std::size_t kSmallRuns = 1024;
+
+void BM_CompressSmallRuns(benchmark::State& state) {
+  const util::Bytes text = make_text(kSmallRunBytes * kSmallRuns);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kSmallRuns; ++r) {
+      util::Bytes packed =
+          util::lz_compress(text.data() + r * kSmallRunBytes, kSmallRunBytes);
+      benchmark::DoNotOptimize(packed);
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSmallRunBytes) *
+                          static_cast<std::int64_t>(kSmallRuns));
+}
+BENCHMARK(BM_CompressSmallRuns);
+
 // ---- hash-table collector under Zipf skew ----
 
 constexpr std::size_t kInsertPairs = 100000;
 constexpr std::size_t kCollectorGroups = 64;
 
-void BM_HashCollectorInsert(benchmark::State& state) {
-  static const std::vector<std::string> vocab = make_vocabulary(30000);
-  static const util::ZipfSampler zipf(vocab.size(), 1.1);
-  // Pre-sample the emit stream so only collector work is timed.
-  util::Rng rng(99);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> stream;  // (group, rank)
-  stream.reserve(kInsertPairs);
+// Pre-sampled emit stream, so only collector work is timed.
+struct ZipfStream {
+  std::vector<std::string> vocab = make_vocabulary(30000);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> emits;  // (group, rank)
   std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < kInsertPairs; ++i) {
-    const std::uint32_t rank = static_cast<std::uint32_t>(zipf.sample(rng));
-    stream.emplace_back(static_cast<std::uint32_t>(rng.below(kCollectorGroups)),
-                        rank);
-    bytes += vocab[rank].size() + 1;
+
+  ZipfStream() {
+    const util::ZipfSampler zipf(vocab.size(), 1.1);
+    util::Rng rng(99);
+    emits.reserve(kInsertPairs);
+    for (std::size_t i = 0; i < kInsertPairs; ++i) {
+      const auto rank = static_cast<std::uint32_t>(zipf.sample(rng));
+      const auto group =
+          static_cast<std::uint32_t>(rng.below(kCollectorGroups));
+      emits.emplace_back(group, rank);
+      bytes += vocab[rank].size() + 1;
+    }
   }
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::HashTableCollector collector(kCollectorGroups);
-    state.ResumeTiming();
+
+  void feed(core::HashTableCollector& collector) const {
     cl::KernelCounters counters;
-    for (const auto& [group, rank] : stream) {
+    for (const auto& [group, rank] : emits) {
       collector.emit(group, vocab[rank], "1", counters);
     }
     benchmark::DoNotOptimize(counters);
   }
+};
+
+const ZipfStream& zipf_stream() {
+  static const ZipfStream stream;
+  return stream;
+}
+
+void BM_HashCollectorInsert(benchmark::State& state) {
+  const ZipfStream& stream = zipf_stream();
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::HashTableCollector collector(kCollectorGroups);
+    state.ResumeTiming();
+    stream.feed(collector);
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
+                          static_cast<std::int64_t>(stream.bytes));
 }
 BENCHMARK(BM_HashCollectorInsert);
 
+// Finalize of the BM_HashCollectorInsert chunk on one reused collector, as
+// the map pipeline does per chunk: the gather, the post-processing kernel
+// (a counting combiner, or compaction without one), the concatenation and
+// the table reset. Wall time: the kernel fans out over the host pool.
+void BM_HashCollectorFinalize(benchmark::State& state) {
+  const bool with_combiner = state.range(0) != 0;
+  const ZipfStream& stream = zipf_stream();
+  std::optional<core::CombineFn> combine;
+  if (with_combiner) {
+    combine = [](std::string_view key,
+                 const std::vector<std::string_view>& values,
+                 core::ReduceContext& ctx) {
+      ctx.emit(key, std::to_string(values.size()));
+    };
+  }
+  sim::Simulation sim;
+  cl::Device device(sim, cl::DeviceSpec::cpu_dual_e5620());
+  core::HashTableCollector collector(kCollectorGroups);
+  for (auto _ : state) {
+    state.PauseTiming();
+    stream.feed(collector);
+    state.ResumeTiming();
+    core::MapChunkOutput out;
+    sim.spawn([](core::HashTableCollector& c, cl::Device& d,
+                 std::optional<core::CombineFn> comb,
+                 core::MapChunkOutput* o) -> sim::Task<> {
+      *o = co_await c.finalize(d, comb, {});
+    }(collector, device, combine, &out));
+    sim.run();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kInsertPairs));
+}
+BENCHMARK(BM_HashCollectorFinalize)
+    ->ArgName("combine")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime();
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("gw_build_type", GW_BUILD_TYPE);
+  benchmark::AddCustomContext("gw_cxx_flags", GW_CXX_FLAGS);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

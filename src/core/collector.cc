@@ -1,7 +1,7 @@
 #include "core/collector.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <numeric>
 
 #include "util/error.h"
 #include "util/hash.h"
@@ -62,14 +62,6 @@ sim::Task<MapChunkOutput> SharedPoolCollector::finalize(
 }
 
 HashTableCollector::Table::Table() : slots(kInitialSlots) {}
-
-void HashTableCollector::Table::reset() {
-  blob.clear();
-  values.clear();
-  slots.assign(kInitialSlots, Slot{});
-  used = 0;
-  probes = 0;
-}
 
 void HashTableCollector::Table::grow() {
   std::vector<Slot> old = std::move(slots);
@@ -141,86 +133,134 @@ std::uint64_t HashTableCollector::total_probes() const {
 sim::Task<MapChunkOutput> HashTableCollector::finalize(
     cl::Device& device, const std::optional<CombineFn>& combine,
     cl::LaunchConfig launch) {
-  // Merge the per-group tables into a deterministic key list (first-seen
-  // order over groups, then slots). This CPU-side gather is real host work
-  // with no charge of its own, so it is folded into the kernel job below
-  // and runs on the pool together with the post-processing kernel.
-  struct KeyEntry {
-    std::string_view key;
-    std::vector<std::string_view> values;
+  // The whole host side of the step (gather, post-processing kernel,
+  // concatenation, reset) is real work with no charge beyond the kernel's
+  // own counters, so it is one kernel job on the pool: the event loop only
+  // joins it where the kernel's charge is taken.
+  MapChunkOutput out;
+  out.grouped = true;
+  cl::Device::KernelJobFn job = [this, &combine, &out] {
+    return finalize_job(combine, out);
   };
-  std::vector<KeyEntry> keys;
-  const auto gather = [this, &keys] {
-    std::unordered_map<std::string_view, std::size_t> index;
-    for (const Table& t : tables_) {
-      for (const Table::Slot& s : t.slots) {
-        if (s.key_off == Table::kEmpty) continue;
-        const std::string_view key = t.view(s.key_off, s.key_len);
-        auto [it, inserted] = index.try_emplace(key, keys.size());
-        if (inserted) keys.push_back(KeyEntry{key, {}});
-        KeyEntry& entry = keys[it->second];
-        // Chain is newest-first; restore emit order within the group.
-        const std::size_t first = entry.values.size();
-        for (std::uint32_t v = s.head; v != Table::kNil;
-             v = t.values[v].next) {
-          entry.values.push_back(t.view(t.values[v].off, t.values[v].len));
-        }
-        std::reverse(entry.values.begin() + first, entry.values.end());
+  out.post_stats = co_await device.run_kernel_job(std::move(job), launch);
+  co_return std::move(out);
+}
+
+cl::KernelStats HashTableCollector::finalize_job(
+    const std::optional<CombineFn>& combine, MapChunkOutput& out) {
+  // Gather: every occupied slot in group order, then slot order, listed
+  // with its key's id. Ids are handed out in first-seen order through a
+  // flat open-addressed index keyed by the fnv1a hash each slot stores.
+  struct SlotRef {
+    std::uint32_t table;
+    std::uint32_t slot;
+  };
+  struct Listed {
+    SlotRef ref;
+    std::uint32_t key;
+  };
+  struct IndexEntry {
+    std::uint32_t key = Table::kNil;
+    std::uint32_t tag = 0;  // high hash bits; the low ones pick the bucket
+  };
+  std::size_t occupied = 0;
+  for (const Table& t : tables_) occupied += t.used;
+  std::vector<Listed> listed;
+  listed.reserve(occupied);
+  std::vector<std::string_view> keys;
+  std::vector<IndexEntry> index(std::bit_ceil(2 * occupied + 1));
+  const std::uint64_t mask = index.size() - 1;
+  for (std::uint32_t ti = 0; ti < tables_.size(); ++ti) {
+    const Table& t = tables_[ti];
+    for (std::uint32_t si = 0; si < t.slots.size(); ++si) {
+      const Table::Slot& s = t.slots[si];
+      if (s.key_off == Table::kEmpty) continue;
+      const std::string_view key = t.view(s.key_off, s.key_len);
+      const auto tag = static_cast<std::uint32_t>(s.hash >> 32);
+      std::uint64_t i = s.hash & mask;
+      while (index[i].key != Table::kNil &&
+             (index[i].tag != tag || keys[index[i].key] != key)) {
+        i = (i + 1) & mask;
       }
+      if (index[i].key == Table::kNil) {
+        index[i] = {static_cast<std::uint32_t>(keys.size()), tag};
+        keys.push_back(key);
+      }
+      listed.push_back({{ti, si}, index[i].key});
     }
-  };
+  }
+
+  // CSR: key k's slots are refs[start[k], start[k + 1]), in group order.
+  std::vector<std::uint32_t> start(keys.size() + 1, 0);
+  for (const Listed& l : listed) ++start[l.key + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<SlotRef> refs(listed.size());
+  {
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+    for (const Listed& l : listed) refs[next[l.key]++] = l.ref;
+  }
 
   // Post-processing kernel over keys: combine, or compaction when no
   // combiner is configured (the paper always runs one of the two after
-  // map() in hash-table mode, §IV-B1).
+  // map() in hash-table mode, §IV-B1). Each work-group walks its keys'
+  // value chains into its own scratch vector.
   const std::size_t groups = tables_.size();
   std::vector<PairList> out_groups(groups);
-  const auto run = [&](auto&& per_key) -> sim::Task<cl::KernelStats> {
-    return device.run_kernel_job(
-        [&gather, &keys, &out_groups, groups, per_key] {
-          gather();
-          return cl::Device::execute_grouped(
-              keys.size(), groups,
-              [&](std::size_t i, std::size_t g, cl::KernelCounters& c) {
-                per_key(keys[i], out_groups[g], c);
-              });
-        },
-        launch);
-  };
+  std::vector<std::vector<std::string_view>> scratch(groups);
+  const cl::KernelStats post = cl::Device::execute_grouped(
+      keys.size(), groups,
+      [&](std::size_t k, std::size_t g, cl::KernelCounters& c) {
+        std::vector<std::string_view>& values = scratch[g];
+        values.clear();
+        std::uint64_t value_bytes = 0;
+        for (std::uint32_t r = start[k]; r < start[k + 1]; ++r) {
+          const Table& t = tables_[refs[r].table];
+          const Table::Slot& s = t.slots[refs[r].slot];
+          // Chains are newest-first: fill back to front to restore emit
+          // order within the group.
+          std::size_t at = values.size() + s.num_values;
+          values.resize(at);
+          for (std::uint32_t v = s.head; v != Table::kNil;
+               v = t.values[v].next) {
+            values[--at] = t.view(t.values[v].off, t.values[v].len);
+            value_bytes += t.values[v].len;
+          }
+        }
+        const std::string_view key = keys[k];
+        c.charge_read(key.size() + value_bytes);
+        PairList& pairs = out_groups[g];
+        if (combine.has_value()) {
+          PairListEmitter emitter(&pairs, &c);
+          ReduceContext ctx{&emitter, &c};
+          (*combine)(key, values, ctx);
+        } else {
+          // Compaction: place each key's values contiguously.
+          c.charge_write(key.size() + value_bytes);
+          for (const std::string_view v : values) pairs.add(key, v);
+        }
+      });
 
-  cl::KernelStats post;
-  if (combine.has_value()) {
-    post = co_await run([&](const KeyEntry& e, PairList& out,
-                            cl::KernelCounters& c) {
-      std::uint64_t value_bytes = 0;
-      for (auto v : e.values) value_bytes += v.size();
-      c.charge_read(e.key.size() + value_bytes);
-      PairListEmitter emitter(&out, &c);
-      ReduceContext ctx{&emitter, &c};
-      (*combine)(e.key, e.values, ctx);
-    });
-  } else {
-    // Compaction: place each key's values contiguously.
-    post = co_await run([&](const KeyEntry& e, PairList& out,
-                            cl::KernelCounters& c) {
-      std::uint64_t value_bytes = 0;
-      for (auto v : e.values) value_bytes += v.size();
-      c.charge_read(e.key.size() + value_bytes);
-      c.charge_write(e.key.size() + value_bytes);
-      for (auto v : e.values) out.add(e.key, v);
-    });
-  }
-
-  MapChunkOutput out;
-  for (auto& pl : out_groups) out.pairs.append(pl);
+  for (const PairList& pl : out_groups) out.pairs.append(pl);
   out.distinct_keys = keys.size();
-  out.grouped = true;
-  out.post_stats = post;
-  for (auto& t : tables_) {
-    out.hash_probes += t.probes;
-    t.reset();  // keeps blob/values capacity for the next chunk
+
+  // Reset, keeping heap capacity: clear only the listed slots, then shrink
+  // back to kInitialSlots so the next chunk's grow()/rehash charge sequence
+  // matches a freshly constructed table exactly. Slots past kInitialSlots
+  // go with the shrink.
+  for (const Listed& l : listed) {
+    if (l.ref.slot < Table::kInitialSlots) {
+      tables_[l.ref.table].slots[l.ref.slot] = Table::Slot{};
+    }
   }
-  co_return std::move(out);
+  for (Table& t : tables_) {
+    out.hash_probes += t.probes;
+    t.slots.resize(Table::kInitialSlots);
+    t.blob.clear();
+    t.values.clear();
+    t.used = 0;
+    t.probes = 0;
+  }
+  return post;
 }
 
 }  // namespace gw::core

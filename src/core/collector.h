@@ -127,15 +127,17 @@ class HashTableCollector : public MapOutputCollector {
     void insert(std::string_view key, std::string_view value,
                 cl::KernelCounters& c);
     void grow();
-    // Restores the empty state while keeping heap capacity. Slot count goes
-    // back to kInitialSlots so the grow()/rehash charge sequence of the next
-    // chunk matches a freshly constructed table exactly.
-    void reset();
     std::string_view view(std::uint64_t off, std::uint32_t len) const {
       return std::string_view(reinterpret_cast<const char*>(blob.data()) + off,
                               len);
     }
   };
+
+  // The host side of finalize, run as one offloaded kernel job: gathers the
+  // tables into a key index, runs the combine/compaction kernel, fills
+  // `out` and resets the tables. Returns the kernel's counters.
+  cl::KernelStats finalize_job(const std::optional<CombineFn>& combine,
+                               MapChunkOutput& out);
 
   std::vector<Table> tables_;
 };

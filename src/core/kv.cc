@@ -43,7 +43,8 @@ inline const std::uint8_t* decode_varint(const std::uint8_t* p,
 
 // Geometric growth so per-pair appends stay amortized O(1) (an exact
 // reserve per add would degrade to quadratic copying).
-inline void grow_for(util::Bytes& buf, std::size_t extra) {
+template <typename Vec>
+inline void grow_for(Vec& buf, std::size_t extra) {
   const std::size_t need = buf.size() + extra;
   if (need > buf.capacity()) buf.reserve(std::max(need, buf.capacity() * 2));
 }
@@ -186,7 +187,7 @@ void PairList::append(const PairList& other) {
   const std::uint64_t base = blob_.size();
   grow_for(blob_, other.blob_.size());
   blob_.insert(blob_.end(), other.blob_.begin(), other.blob_.end());
-  offsets_.reserve(offsets_.size() + other.offsets_.size());
+  grow_for(offsets_, other.offsets_.size());
   for (std::uint64_t off : other.offsets_) offsets_.push_back(base + off);
   payload_bytes_ += other.payload_bytes_;
 }

@@ -1,6 +1,9 @@
 #include "util/compress.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "util/error.h"
 
@@ -17,12 +20,35 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kWindow = 64 * 1024;
 constexpr std::size_t kHashBits = 16;
+constexpr std::uint32_t kMaxTag = std::numeric_limits<std::uint32_t>::max();
 
 inline std::uint32_t hash4(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
   return (v * 2654435761u) >> (32 - kHashBits);
 }
+
+// One match table per thread, reused across calls: filling 256 KiB per call
+// would dwarf the work on a 500-byte run. A call stores base + pos; base
+// then advances past the call's positions, so every entry below the current
+// base was written by an earlier call and reads as empty. The table is
+// refilled only when base would wrap.
+struct MatchTable {
+  std::vector<std::uint32_t> slots =
+      std::vector<std::uint32_t>(std::size_t{1} << kHashBits, 0);
+  std::uint32_t base = 1;
+
+  // Claims the tags [base, base + len] for one call; returns its base.
+  std::uint32_t claim(std::size_t len) {
+    if (len + 1 > kMaxTag - base) {
+      std::fill(slots.begin(), slots.end(), 0);
+      base = 1;
+    }
+    const std::uint32_t b = base;
+    base += static_cast<std::uint32_t>(len + 1);
+    return b;
+  }
+};
 
 }  // namespace
 
@@ -32,7 +58,11 @@ Bytes lz_compress(const void* input, std::size_t len) {
   out.put_varint(len);
   if (len == 0) return out.take();
 
-  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xffffffffu);
+  // base + pos must fit a 32-bit tag, with room for the advance.
+  GW_CHECK(len < kMaxTag - 1);
+  thread_local MatchTable match_table;
+  std::vector<std::uint32_t>& table = match_table.slots;
+  const std::uint32_t base = match_table.claim(len);
 
   std::size_t pos = 0;
   std::size_t literal_start = 0;
@@ -46,11 +76,12 @@ Bytes lz_compress(const void* input, std::size_t len) {
 
   while (pos + kMinMatch <= len) {
     const std::uint32_t h = hash4(src + pos);
-    const std::uint32_t cand = table[h];
-    table[h] = static_cast<std::uint32_t>(pos);
+    const std::uint32_t tag = table[h];
+    table[h] = base + static_cast<std::uint32_t>(pos);
 
     std::size_t match_len = 0;
-    if (cand != 0xffffffffu && pos - cand <= kWindow &&
+    const std::size_t cand = tag - base;  // meaningful only if tag >= base
+    if (tag >= base && pos - cand <= kWindow &&
         std::memcmp(src + cand, src + pos, kMinMatch) == 0) {
       match_len = kMinMatch;
       const std::size_t limit = len - pos;
@@ -64,7 +95,7 @@ Bytes lz_compress(const void* input, std::size_t len) {
       // Index a few positions inside the match so later data can refer back.
       const std::size_t end = pos + match_len;
       for (std::size_t i = pos + 1; i + kMinMatch <= end && i + 4 <= len; i += 3) {
-        table[hash4(src + i)] = static_cast<std::uint32_t>(i);
+        table[hash4(src + i)] = base + static_cast<std::uint32_t>(i);
       }
       pos = end;
       literal_start = pos;

@@ -1,5 +1,7 @@
 // Focused unit tests for core components: output collectors, the
 // intermediate-data store, and the split scheduler.
+#include <algorithm>
+#include <array>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "core/intermediate.h"
 #include "core/pipeline.h"
 #include "gwdfs/fs.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gw::core {
@@ -140,6 +143,100 @@ TEST(HashTableCollector, ProbeCountGrowsWithKeyCardinality) {
     return stats.hash_probes;
   };
   EXPECT_GT(probes_for(15000), probes_for(50));
+}
+
+// A seeded Zipf emit stream over 64 work-groups: ~3000 emits per group
+// from a 40000-word vocabulary, enough distinct keys per group that every
+// table grows past its initial 1024 slots (grown at 70% load).
+struct ZipfEmits {
+  static constexpr std::size_t kGroups = 64;
+  std::vector<std::string> vocab;
+  struct Emit {
+    std::uint32_t group;
+    std::uint32_t rank;
+    std::string value;
+  };
+  std::vector<Emit> emits;
+
+  explicit ZipfEmits(std::uint64_t seed) {
+    util::Rng rng(seed);
+    for (std::size_t i = 0; i < 40000; ++i) {
+      const auto letter = static_cast<char>('a' + i % 26);
+      vocab.push_back(std::string(1 + rng.below(12), letter) +
+                      std::to_string(i));
+    }
+    const util::ZipfSampler zipf(vocab.size(), 1.0);
+    for (std::size_t i = 0; i < kGroups * 3000; ++i) {
+      const auto rank = static_cast<std::uint32_t>(zipf.sample(rng));
+      emits.push_back({static_cast<std::uint32_t>(rng.below(kGroups)), rank,
+                       std::to_string(rng.below(1000))});
+    }
+  }
+
+  void feed(HashTableCollector& col) const {
+    cl::KernelCounters c;
+    for (const Emit& e : emits) col.emit(e.group, vocab[e.rank], e.value, c);
+  }
+
+  std::size_t min_distinct_per_group() const {
+    std::vector<std::set<std::uint32_t>> seen(kGroups);
+    for (const Emit& e : emits) seen[e.group].insert(e.rank);
+    std::size_t least = emits.size();
+    for (const auto& s : seen) least = std::min(least, s.size());
+    return least;
+  }
+};
+
+// Everything finalize hands downstream, as one comparable record: fnv1a
+// over the output pairs' framed bytes, the key and probe counts, and the
+// post-processing kernel's counters.
+std::array<std::uint64_t, 9> finalize_record(const MapChunkOutput& out) {
+  std::uint64_t h = util::fnv1a(std::string_view{});
+  for (std::size_t i = 0; i < out.pairs.size(); ++i) {
+    const std::string_view e = out.pairs.encoded_pair(i);
+    h = util::fnv1a(e.data(), e.size(), h);
+  }
+  const cl::KernelStats& s = out.post_stats;
+  return {h, out.distinct_keys, out.hash_probes, s.work_items, s.ops,
+          s.bytes_read, s.bytes_written, s.atomic_ops, s.hash_probes};
+}
+
+TEST(HashTableCollector, FinalizeOutputPinnedAcrossReuse) {
+  sim::Simulation sim;
+  cl::Device dev(sim, cl::DeviceSpec::cpu_dual_e5620());
+  const ZipfEmits first(42);
+  const ZipfEmits second(7);
+  ASSERT_GT(first.min_distinct_per_group(), 1024u * 7 / 10);
+  ASSERT_GT(second.min_distinct_per_group(), 1024u * 7 / 10);
+  const CombineFn sum = [](std::string_view key,
+                           const std::vector<std::string_view>& values,
+                           ReduceContext& ctx) {
+    std::uint64_t total = 0;
+    for (auto v : values) total += std::stoull(std::string(v));
+    ctx.emit(key, std::to_string(total));
+  };
+
+  HashTableCollector col(ZipfEmits::kGroups);
+  first.feed(col);
+  const auto combined = finalize_record(finalize_now(col, dev, sum, sim));
+  second.feed(col);
+  const auto compacted =
+      finalize_record(finalize_now(col, dev, std::nullopt, sim));
+
+  // Pinned: key order, value order, probe counts and every kernel charge.
+  const std::array<std::uint64_t, 9> want_combined = {
+      0xa4b5c1461493f93aull, 25339, 356618, 25339, 0, 835250, 366678, 0, 0};
+  const std::array<std::uint64_t, 9> want_compacted = {
+      0x51b2175e9e077bcbull, 25297, 353528, 25297, 0, 835132, 835132, 0, 0};
+  EXPECT_EQ(combined, want_combined);
+  EXPECT_EQ(compacted, want_compacted);
+
+  // A reused collector must finalize exactly like a fresh one: a reset that
+  // left a stale slot behind would surface here as a phantom key.
+  HashTableCollector fresh(ZipfEmits::kGroups);
+  second.feed(fresh);
+  EXPECT_EQ(compacted,
+            finalize_record(finalize_now(fresh, dev, std::nullopt, sim)));
 }
 
 // ---------- intermediate store ----------

@@ -202,6 +202,69 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 5, 64, 1000, 65537, 300000),
                        ::testing::Values(0, 50, 95)));
 
+// The codec keeps matcher state between calls, so each input's compressed
+// bytes must not depend on what was compressed before it, nor on which
+// thread runs it. The digest pins the bytes themselves.
+TEST(Compress, OutputIndependentOfCallHistory) {
+  Rng rng(1507);
+  std::vector<Bytes> inputs = {{}, {7, 7, 7}};
+  // ~500-byte runs of framed terasort records (10-byte printable key,
+  // 90-byte payload of a record number plus filler), as partitions ship.
+  for (int run = 0; run < 6; ++run) {
+    Bytes b;
+    const std::uint64_t records = 4 + rng.below(3);
+    for (std::uint64_t rec = 0; rec < records; ++rec) {
+      b.push_back(10);
+      b.push_back(90);
+      for (int i = 0; i < 10; ++i) {
+        b.push_back(static_cast<std::uint8_t>(' ' + rng.below(95)));
+      }
+      std::string payload = std::to_string(rng.below(1000000));
+      payload.resize(90, 'x');
+      b.insert(b.end(), payload.begin(), payload.end());
+    }
+    inputs.push_back(std::move(b));
+  }
+  const std::vector<std::string> words = {"map", "reduce", "the", "shuffle",
+                                          "glasswing", "of", "partition"};
+  Bytes text;
+  while (text.size() < (64 << 10) + 1) {
+    const std::string& w = words[rng.below(words.size())];
+    text.insert(text.end(), w.begin(), w.end());
+    text.push_back(' ');
+  }
+  text.resize((64 << 10) + 1);
+  inputs.push_back(std::move(text));
+  Bytes noise(1 << 20);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next());
+  inputs.push_back(std::move(noise));
+
+  std::vector<Bytes> forward;
+  for (const Bytes& in : inputs) forward.push_back(lz_compress(in));
+  std::vector<Bytes> backward(inputs.size());
+  for (std::size_t i = inputs.size(); i-- > 0;) {
+    backward[i] = lz_compress(inputs[i]);
+  }
+  std::vector<Bytes> pooled = ThreadPool::global()
+                                  .submit([&inputs] {
+                                    std::vector<Bytes> out;
+                                    for (const Bytes& in : inputs) {
+                                      out.push_back(lz_compress(in));
+                                    }
+                                    return out;
+                                  })
+                                  .get();
+
+  std::uint64_t digest = fnv1a(std::string_view{});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(backward[i], forward[i]) << "input " << i;
+    EXPECT_EQ(pooled[i], forward[i]) << "input " << i;
+    EXPECT_EQ(lz_decompress(forward[i]), inputs[i]) << "input " << i;
+    digest = fnv1a(forward[i].data(), forward[i].size(), digest);
+  }
+  EXPECT_EQ(digest, 0x4d16017d7f6a9552ull);
+}
+
 TEST(Compress, CorruptInputThrows) {
   std::string s(1000, 'x');
   Bytes c = lz_compress(s.data(), s.size());
