@@ -11,6 +11,55 @@ namespace gw::apps {
 
 namespace {
 
+// Sorted keys searched by rank, for the range partitioners. The binary
+// search runs over big-endian 8-byte key prefixes held in one flat array,
+// without branches; full keys are compared only where the key's prefix
+// ties sample prefixes. Zero padding keeps the prefix order consistent
+// with the byte order of the keys, so upper_bound(key) equals
+// std::upper_bound over the keys for keys of any length.
+class SortedKeys {
+ public:
+  explicit SortedKeys(std::vector<std::string> sorted)
+      : keys_(std::move(sorted)) {
+    prefixes_.reserve(keys_.size());
+    for (const std::string& k : keys_) prefixes_.push_back(prefix_of(k));
+  }
+
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
+
+  // Number of keys <= `key`.
+  std::size_t upper_bound(std::string_view key) const {
+    if (prefixes_.empty()) return 0;
+    const std::uint64_t p = prefix_of(key);
+    // First index whose prefix exceeds p.
+    const std::uint64_t* base = prefixes_.data();
+    std::size_t n = prefixes_.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] <= p ? base + half : base;
+      n -= half;
+    }
+    std::size_t i =
+        static_cast<std::size_t>(base - prefixes_.data()) + (*base <= p);
+    // Keys whose prefix ties p sort just before i: step back over those
+    // greater than `key`.
+    while (i > 0 && prefixes_[i - 1] == p &&
+           key < std::string_view(keys_[i - 1])) {
+      --i;
+    }
+    return i;
+  }
+
+ private:
+  static std::uint64_t prefix_of(std::string_view k) {
+    return k.empty() ? 0 : core::key_prefix(k.data(), k.size());
+  }
+
+  std::vector<std::string> keys_;
+  std::vector<std::uint64_t> prefixes_;
+};
+
 void ts_map(std::string_view record, core::MapContext& ctx) {
   // Identity: split the record into key and payload; negligible compute.
   ctx.charge_ops(10);
@@ -31,7 +80,7 @@ AppSpec terasort() {
 sim::Task<core::PartitionFn> sample_range_partitioner(
     dfs::FileSystem& fs, int node, std::vector<std::string> paths,
     std::size_t samples_per_file) {
-  auto samples = std::make_shared<std::vector<std::string>>();
+  std::vector<std::string> samples;
   for (const auto& path : paths) {
     const std::uint64_t size = fs.file_size(path);
     const std::uint64_t records = size / kTeraRecordSize;
@@ -43,27 +92,25 @@ sim::Task<core::PartitionFn> sample_range_partitioner(
     for (std::uint64_t s = 0; s < take; ++s) {
       const std::uint64_t off = s * stride * kTeraRecordSize;
       util::Bytes rec = co_await fs.read(node, path, off, kTeraKeySize);
-      samples->emplace_back(rec.begin(), rec.end());
+      samples.emplace_back(rec.begin(), rec.end());
     }
   }
-  std::sort(samples->begin(), samples->end());
-  co_return core::PartitionFn(
-      [samples](std::string_view key, std::uint32_t total) -> std::uint32_t {
-        if (samples->empty()) return 0;
-        // Equal-frequency quantiles: rank of key among samples -> bucket.
-        const auto it = std::upper_bound(samples->begin(), samples->end(),
-                                         key,
-                                         [](std::string_view k,
-                                            const std::string& s) {
-                                           return k < std::string_view(s);
-                                         });
-        const std::size_t rank =
-            static_cast<std::size_t>(it - samples->begin());
-        const std::uint64_t bucket =
-            static_cast<std::uint64_t>(rank) * total / (samples->size() + 1);
-        return static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(bucket, total - 1));
-      });
+  std::sort(samples.begin(), samples.end());
+  co_return quantile_range_partitioner(std::move(samples));
+}
+
+core::PartitionFn quantile_range_partitioner(
+    std::vector<std::string> sorted_samples) {
+  auto keys = std::make_shared<const SortedKeys>(std::move(sorted_samples));
+  return [keys](std::string_view key, std::uint32_t total) -> std::uint32_t {
+    if (keys->empty()) return 0;
+    // Equal-frequency quantiles: rank of key among samples -> bucket.
+    const std::uint64_t bucket =
+        static_cast<std::uint64_t>(keys->upper_bound(key)) * total /
+        (keys->size() + 1);
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(bucket, total - 1));
+  };
 }
 
 util::Bytes encode_splitters(const std::vector<std::string>& splitters) {
@@ -96,16 +143,10 @@ std::vector<std::string> decode_splitters(const util::Bytes& payload) {
 
 core::PartitionFn splitter_range_partitioner(
     std::vector<std::string> splitters) {
-  auto shared = std::make_shared<std::vector<std::string>>(std::move(splitters));
-  return [shared](std::string_view key, std::uint32_t total) -> std::uint32_t {
-    const auto it = std::upper_bound(
-        shared->begin(), shared->end(), key,
-        [](std::string_view k, const std::string& s) {
-          return k < std::string_view(s);
-        });
-    const auto bucket = static_cast<std::uint64_t>(it - shared->begin());
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(bucket, total - 1));
+  auto keys = std::make_shared<const SortedKeys>(std::move(splitters));
+  return [keys](std::string_view key, std::uint32_t total) -> std::uint32_t {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        keys->upper_bound(key), total - 1));
   };
 }
 

@@ -33,6 +33,13 @@ sim::Task<core::PartitionFn> sample_range_partitioner(
     dfs::FileSystem& fs, int node, std::vector<std::string> paths,
     std::size_t samples_per_file);
 
+// The partitioner sample_range_partitioner returns, over already sorted
+// sample keys: a key's bucket is its std::upper_bound rank r among the
+// samples scaled to equal-frequency quantiles, r * total / (samples + 1),
+// capped at total - 1; 0 for every key when there are no samples.
+core::PartitionFn quantile_range_partitioner(
+    std::vector<std::string> sorted_samples);
+
 // TeraSort as a two-round sample-sort DAG (the classic distribution sort):
 // round 0 maps over the full input emitting every sample_every-th key
 // (deterministic fnv1a selection) into one merge-sorted sample partition;

@@ -177,7 +177,7 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
     }
   }
   const std::uint64_t wire =
-      send_run(ctx_, sends_, dst, port, tc, g, run, std::move(tags));
+      send_run(ctx_, sends_, dst, port, tc, g, std::move(run), std::move(tags));
   if (dst != ctx_.node_id) metrics_.wire_bytes += wire;
 }
 

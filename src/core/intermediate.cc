@@ -13,6 +13,11 @@ namespace {
 // k runs holds k + 1 of them (one per input plus the merged output).
 constexpr std::uint64_t kMergeIoBufferBytes = 256ull << 10;
 
+// Dedup tags are split indices (ints) + 1; the bound keeps a corrupt tag
+// from sizing a tag bitmap in the gigabytes.
+constexpr std::uint64_t kMaxDedupTag =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + 1;
+
 }  // namespace
 
 IntermediateStore::IntermediateStore(cluster::Node& node, sim::Simulation& sim,
@@ -37,13 +42,16 @@ sim::Task<> IntermediateStore::add_run(int g, Run run,
   if (run.empty()) co_return;
   Part& part = parts_[g];
   std::size_t seen = 0;
-  for (std::uint64_t t : tags) seen += part.seen_tags.count(t);
+  for (std::uint64_t t : tags) {
+    GW_CHECK_MSG(t <= kMaxDedupTag, "dedup tag out of range");
+    seen += part.seen(t) ? 1 : 0;
+  }
   if (!tags.empty() && seen == tags.size()) {
     ++dup_dropped_;  // a byte-identical or regrouped duplicate
     co_return;
   }
   GW_CHECK_MSG(seen == 0, "run partially overlaps already-seen dedup tags");
-  part.seen_tags.insert(tags.begin(), tags.end());
+  for (std::uint64_t t : tags) part.mark_seen(t);
 
   const std::uint64_t bytes = run.stored_bytes();
   sim::Resource::Hold hold;

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -118,7 +117,19 @@ class IntermediateStore {
     std::vector<int> disk_levels;  // merge level per disk run (parallel)
     std::uint64_t cache_bytes = 0;
     bool queued = false;
-    std::set<std::uint64_t> seen_tags;  // never cleared (see add_run)
+    // Dedup tags seen, as a bitmap indexed by tag: tags are split index + 1,
+    // so it needs at most splits / 8 bytes. Never cleared (see add_run).
+    std::vector<std::uint64_t> seen_tags;
+
+    bool seen(std::uint64_t tag) const {
+      const std::uint64_t w = tag >> 6;
+      return w < seen_tags.size() && ((seen_tags[w] >> (tag & 63)) & 1) != 0;
+    }
+    void mark_seen(std::uint64_t tag) {
+      const std::uint64_t w = tag >> 6;
+      if (w >= seen_tags.size()) seen_tags.resize(w + 1, 0);
+      seen_tags[w] |= std::uint64_t{1} << (tag & 63);
+    }
   };
 
   sim::Task<> merger_loop(trace::TrackRef track);

@@ -93,14 +93,14 @@ sim::Task<> shuffle_receiver(NodeContext ctx, int port, int expected,
     auto msg = co_await rx.recv();
     if (!msg) break;
     // One frame everywhere (send_run): u32 g | run, tags out-of-band.
-    util::ByteReader r(msg->payload);
-    const int g = static_cast<int>(r.get_u32());
+    const int g = shuffle_frame_partition(msg->payload);
     // Drop zombie/stale deliveries: a dead node's store is never reduced
     // (and feeding it would initiate new cache-flush work on a dead
     // machine). A live node always still owns what was routed to it —
     // ownership only ever moves off dead nodes.
     if (!ctx.self_live() || ctx.owner_of(g) != ctx.node_id) continue;
-    co_await ctx.store->add_run(g, Run::deserialize(r), std::move(msg->tags));
+    co_await ctx.store->add_run(g, adopt_shuffle_frame(std::move(msg->payload)),
+                                std::move(msg->tags));
   }
   done.set();
 }
@@ -123,10 +123,10 @@ sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
   for (;;) {
     auto msg = co_await rx.recv();
     if (!msg) break;
-    util::ByteReader r(msg->payload);
-    const int g = static_cast<int>(r.get_u32());
     if (!ctx.self_live()) continue;  // zombie: drain the stream only
-    co_await agg.add(g, std::move(msg->tags), Run::deserialize(r));
+    const int g = shuffle_frame_partition(msg->payload);
+    co_await agg.add(g, std::move(msg->tags),
+                     adopt_shuffle_frame(std::move(msg->payload)));
   }
   if (ctx.self_live()) {
     co_await agg.drain();
@@ -190,7 +190,8 @@ sim::Task<> replay_ledger(NodeContext ctx, const MapOutputLedger& ledger,
       } else {
         m.shuffle_bytes_remote +=
             send_run(ctx, sends, dest, ctx.shuffle_port,
-                     net::TrafficClass::kShuffle, g, run, std::move(tags));
+                     net::TrafficClass::kShuffle, g, Run(run),
+                     std::move(tags));
       }
     }
   }

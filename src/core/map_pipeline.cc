@@ -1,6 +1,7 @@
 // Map pipeline: Input -> Stage -> Kernel -> Retrieve -> Partition (§III-A).
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "core/combine.h"
 #include "core/pipeline.h"
@@ -133,6 +134,63 @@ std::vector<std::uint64_t> frame_records(const AppKernels& app,
     return offsets;
   }
   return split_lines(chunk);
+}
+
+PartitionScratch::PartitionScratch(std::uint32_t partitions)
+    : count_(partitions, 0), bytes_(partitions, 0), next_(partitions, 0) {}
+
+void PartitionScratch::assign(const PairList& pairs,
+                              const PartitionFn& partition) {
+  const auto total = static_cast<std::uint32_t>(count_.size());
+  const std::size_t n = pairs.size();
+  part_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PairList::PairView pv = pairs.pair_view(i);
+    const std::uint32_t g = partition(pv.kv.key, total);
+    GW_CHECK(g < total);
+    part_of_[i] = g;
+    ++count_[g];
+    bytes_[g] += pv.encoded.size();
+  }
+  live_.clear();
+  for (std::uint32_t g = 0; g < total; ++g) {
+    if (count_[g] > 0) live_.push_back(g);
+  }
+}
+
+std::vector<std::pair<std::uint32_t, Run>> PartitionScratch::build_runs(
+    const PairList& pairs) {
+  // Counting sort of the pair indices by partition: stable, so each
+  // partition's pairs keep their emit order.
+  begin_.resize(live_.size() + 1);
+  std::uint32_t at = 0;
+  for (std::size_t j = 0; j < live_.size(); ++j) {
+    begin_[j] = next_[live_[j]] = at;
+    at += count_[live_[j]];
+  }
+  begin_[live_.size()] = at;
+  order_.resize(at);
+  for (std::uint32_t i = 0; i < part_of_.size(); ++i) {
+    order_[next_[part_of_[i]]++] = i;
+  }
+  std::vector<std::pair<std::uint32_t, Run>> runs(live_.size());
+  util::ThreadPool::global().parallel_for(
+      0, live_.size(), [&](std::size_t jlo, std::size_t jhi, std::size_t) {
+        for (std::size_t j = jlo; j < jhi; ++j) {
+          const std::span<const std::uint32_t> indices(
+              order_.data() + begin_[j], begin_[j + 1] - begin_[j]);
+          runs[j] = {live_[j], pairs.sorted_run(indices, /*compress=*/true)};
+        }
+      });
+  return runs;
+}
+
+void PartitionScratch::reset() {
+  for (std::uint32_t g : live_) {
+    count_[g] = 0;
+    bytes_[g] = 0;
+  }
+  live_.clear();
 }
 
 namespace {
@@ -359,7 +417,7 @@ sim::Task<> retrieve_stage(Stage& st, NodeContext ctx,
 }
 
 // Result of one offloaded partition job: sorted+compressed runs for the
-// chunk's non-empty buckets (in ascending partition order).
+// chunk's partitions with pairs (in ascending partition order).
 struct PartitionJobOut {
   PartitionJobOut() = default;
   std::vector<std::pair<std::uint32_t, Run>> runs;
@@ -373,65 +431,44 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
   const JobConfig& cfg = *ctx.config;
   const HostCosts& h = cfg.host;
   const std::int32_t shuffle_name = st.span_name("shuffle");
-  // One bucket vector per worker, cleared in place between chunks so the
-  // heap capacity stays warm across the whole map phase.
-  std::vector<PairList> buckets(ctx.total_partitions);
+  PartitionScratch scratch(static_cast<std::uint32_t>(ctx.total_partitions));
   for (;;) {
     auto item = co_await in.recv();
     if (!item) break;
     Stage::BusyScope scope(st);
 
-    MapChunkOutput& out = item->out;
-    const std::size_t n = out.pairs.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const PairList::PairView pv = out.pairs.pair_view(i);
-      const std::uint32_t g = ctx.app->partition(
-          pv.kv.key, static_cast<std::uint32_t>(ctx.total_partitions));
-      GW_CHECK(g < static_cast<std::uint32_t>(ctx.total_partitions));
-      buckets[g].add_encoded(pv);  // framed bytes copied verbatim
-    }
+    // On the loop: each pair's partition and each partition's framed bytes.
+    const PairList& pairs = item->out.pairs;
+    scratch.assign(pairs, ctx.app->partition);
 
     // Build a sorted, compressed run per destination partition. The
-    // simulated cost is a function of the bucket sizes alone (a RunBuilder
-    // fed framed pairs verbatim has raw_bytes == the bucket's blob_bytes),
-    // so it is known before the work runs: submit the real sort+compress
-    // job, let the cpu charge elapse while it executes on the pool, and
-    // join where the compressed sizes are consumed (the disk write).
-    double cpu_s = out.grouped
+    // simulated cost is a function of each partition's framed bytes alone
+    // (a run built from framed pairs verbatim has exactly that raw_bytes),
+    // so it is known before the work runs: submit the real
+    // grouping+sort+compress job, let the cpu charge elapse while it
+    // executes on the pool, and join where the compressed sizes are
+    // consumed (the disk write).
+    double cpu_s = item->out.grouped
                        ? h.partition_key_overhead_s *
-                             static_cast<double>(out.distinct_keys)
-                       : h.partition_pair_overhead_s * static_cast<double>(n);
-    std::vector<std::uint32_t> live;
-    for (std::uint32_t g = 0; g < buckets.size(); ++g) {
-      const PairList& bucket = buckets[g];
-      if (bucket.empty()) continue;
-      live.push_back(g);
-      const std::uint64_t raw = bucket.blob_bytes();
-      cpu_s += static_cast<double>(bucket.blob_bytes()) / h.sort_bytes_per_s +
+                             static_cast<double>(item->out.distinct_keys)
+                       : h.partition_pair_overhead_s *
+                             static_cast<double>(pairs.size());
+    for (std::uint32_t g : scratch.live()) {
+      const std::uint64_t raw = scratch.bytes(g);
+      cpu_s += static_cast<double>(raw) / h.sort_bytes_per_s +
                static_cast<double>(raw) / h.serialize_bytes_per_s +
                static_cast<double>(raw) / h.compress_bytes_per_s;
       m.intermediate_raw += raw;
     }
-    auto work = ctx.sim().offload([&buckets, &live] {
+    auto work = ctx.sim().offload([&pairs, &scratch] {
       PartitionJobOut res;
-      res.runs.resize(live.size());
-      util::ThreadPool::global().parallel_for(
-          0, live.size(), [&](std::size_t jlo, std::size_t jhi, std::size_t) {
-            for (std::size_t j = jlo; j < jhi; ++j) {
-              PairList& bucket = buckets[live[j]];
-              bucket.sort_by_key();
-              RunBuilder rb;
-              for (std::size_t i = 0; i < bucket.size(); ++i) {
-                rb.add_encoded(bucket.encoded_pair(i));
-              }
-              res.runs[j] = {live[j], rb.finish(true)};
-            }
-          });
+      res.runs = scratch.build_runs(pairs);
       for (const auto& [g, run] : res.runs) res.disk_bytes += run.stored_bytes();
       return res;
     });
     co_await ctx.node->cpu_work(cpu_s);
     PartitionJobOut job_out = co_await ctx.sim().join(std::move(work));
+    scratch.reset();
     for (const auto& [g, run] : job_out.runs) {
       m.intermediate_stored += run.stored_bytes();
     }
@@ -480,13 +517,12 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
         // bytes in flight toward any one receiver.
         const std::uint64_t wire =
             send_run(ctx, sends, dest, ctx.shuffle_port,
-                     net::TrafficClass::kShuffle, static_cast<int>(g), run,
-                     tags);
+                     net::TrafficClass::kShuffle, static_cast<int>(g),
+                     std::move(run), tags);
         m.shuffle_bytes_remote += wire;
         st.instant(trace::Kind::kShuffle, shuffle_name, wire);
       }
     }
-    for (std::uint32_t g : live) buckets[g].clear();
     item->out_hold.release();
     item->mem_hold.release();
     item->slot_hold.release();  // elastic task boundary

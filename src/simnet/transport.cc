@@ -68,6 +68,25 @@ void Transport::check_alive(int src, int dst) const {
 sim::Task<> Transport::send(int src, int dst, int port, TrafficClass tc,
                             util::Bytes payload,
                             std::vector<std::uint64_t> tags) {
+  return deliver(src, dst, port, tc, std::move(payload), std::move(tags),
+                 /*drop_if_down=*/false);
+}
+
+sim::Task<> Transport::send_or_drop(int src, int dst, int port,
+                                    TrafficClass tc, util::Bytes payload,
+                                    std::vector<std::uint64_t> tags) {
+  return deliver(src, dst, port, tc, std::move(payload), std::move(tags),
+                 /*drop_if_down=*/true);
+}
+
+sim::Task<> Transport::deliver(int src, int dst, int port, TrafficClass tc,
+                               util::Bytes payload,
+                               std::vector<std::uint64_t> tags,
+                               bool drop_if_down) {
+  const sim::Simulation& sim = fabric_.sim();
+  if (drop_if_down && !(sim.node_alive(src) && sim.node_alive(dst))) {
+    co_return;
+  }
   check_alive(src, dst);
   const std::uint64_t bytes = payload.size();
   account(src, dst, port, tc, bytes);
@@ -190,7 +209,8 @@ sim::Task<std::optional<Message>> Transport::Receiver::recv() {
   GW_CHECK_MSG(!done_, "transport recv after end-of-stream");
   sim::Channel<Message>& ch = transport_->fabric_.inbox(node_, port_);
   for (;;) {
-    auto msg = co_await ch.recv();
+    std::optional<Message> msg;
+    co_await ch.next(&msg);
     if (!msg) {  // port was force-closed under us
       done_ = true;
       co_return std::nullopt;

@@ -96,6 +96,14 @@ class Transport {
   sim::Task<> send(int src, int dst, int port, TrafficClass tc,
                    util::Bytes payload, std::vector<std::uint64_t> tags = {});
 
+  // send() for fire-and-forget pushes: when src or dst is dead at
+  // initiation the message is dropped instead of throwing NodeDownError (a
+  // crash raced the send; recovery regenerates or re-sends the data if it
+  // mattered). Otherwise identical to send(), with the same awaits.
+  sim::Task<> send_or_drop(int src, int dst, int port, TrafficClass tc,
+                           util::Bytes payload,
+                           std::vector<std::uint64_t> tags);
+
   // Charges the wire cost of `bytes` without delivering a payload (the real
   // bytes are tracked by a higher layer, e.g. the filesystem). Holds credit
   // for the duration of the transfer when flow control is enabled. Throws
@@ -178,6 +186,10 @@ class Transport {
     std::uint64_t msgs = 0;
   };
 
+  // The one coroutine behind send() and send_or_drop().
+  sim::Task<> deliver(int src, int dst, int port, TrafficClass tc,
+                      util::Bytes payload, std::vector<std::uint64_t> tags,
+                      bool drop_if_down);
   void account(int src, int dst, int port, TrafficClass tc,
                std::uint64_t bytes);
   // Credit window for one stream; null when flow control is off.

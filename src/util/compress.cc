@@ -53,10 +53,17 @@ struct MatchTable {
 }  // namespace
 
 Bytes lz_compress(const void* input, std::size_t len) {
+  Bytes out;
+  lz_compress_into(input, len, out);
+  return out;
+}
+
+void lz_compress_into(const void* input, std::size_t len, Bytes& buf) {
   const auto* src = static_cast<const std::uint8_t*>(input);
-  ByteWriter out;
+  buf.clear();
+  ByteWriter out(&buf);
   out.put_varint(len);
-  if (len == 0) return out.take();
+  if (len == 0) return;
 
   // base + pos must fit a 32-bit tag, with room for the advance.
   GW_CHECK(len < kMaxTag - 1);
@@ -111,7 +118,6 @@ Bytes lz_compress(const void* input, std::size_t len) {
     out.put_varint(0);
     out.put_varint(0);
   }
-  return out.take();
 }
 
 Bytes lz_decompress(const void* input, std::size_t len) {

@@ -19,6 +19,10 @@ inline Bytes lz_compress(const Bytes& in) {
   return lz_compress(in.data(), in.size());
 }
 
+// Compresses into `out` (cleared first, capacity retained), so callers can
+// reuse one output buffer across calls.
+void lz_compress_into(const void* input, std::size_t len, Bytes& out);
+
 // Inverse of lz_compress. Throws util::Error on malformed input.
 Bytes lz_decompress(const void* input, std::size_t len);
 inline Bytes lz_decompress(const Bytes& in) {

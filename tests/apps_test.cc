@@ -17,6 +17,7 @@
 #include "apps/wordcount.h"
 #include "core/job.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace gw::apps {
 namespace {
@@ -197,6 +198,69 @@ TEST(TeraSort, RangePartitionerIsMonotone) {
     used.insert(bucket);
   }
   EXPECT_GT(used.size(), 24u);
+}
+
+// The range partitioners binary-search flat 8-byte key prefixes; the
+// reference is std::upper_bound over the sorted samples themselves.
+TEST(TeraSort, RangePartitionerMatchesUpperBound) {
+  util::Rng rng(2014);
+  // Bytes over the full unsigned range, so zero padding and byte order
+  // above 0x7f are exercised too.
+  auto random_key = [&rng](std::size_t len) {
+    std::string k(len, '\0');
+    for (char& c : k) c = static_cast<char>(rng.below(256));
+    return k;
+  };
+  std::vector<std::string> samples;
+  for (int i = 0; i < 2000; ++i) samples.push_back(random_key(kTeraKeySize));
+  // Samples that tie on their 8-byte prefix, and an exact duplicate.
+  for (int i = 0; i < 50; ++i) {
+    std::string k = samples[static_cast<std::size_t>(i)];
+    k[9] = static_cast<char>(k[9] ^ 0x55);
+    samples.push_back(k);
+  }
+  samples.push_back(samples.front());
+  std::sort(samples.begin(), samples.end());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(random_key(kTeraKeySize));
+  for (const std::string& s : samples) {
+    keys.push_back(s);  // every sample key itself
+    // Same 8-byte prefix, different bytes 9-10.
+    for (int d : {-1, 1}) {
+      std::string k = s;
+      k[8] = static_cast<char>(k[8] + d);
+      keys.push_back(k);
+      k = s;
+      k[9] = static_cast<char>(k[9] + d);
+      keys.push_back(k);
+    }
+    // Keys shorter than 8 bytes, including the samples' own prefixes.
+    keys.push_back(s.substr(0, 1 + static_cast<std::size_t>(rng.below(7))));
+  }
+  for (std::size_t len = 0; len < 8; ++len) {
+    keys.push_back(random_key(len));
+    keys.push_back(std::string(len, '\0'));
+    keys.push_back(std::string(len, '\xff'));
+  }
+
+  const core::PartitionFn quantile = quantile_range_partitioner(samples);
+  const core::PartitionFn splitter = splitter_range_partitioner(samples);
+  const core::PartitionFn no_samples = quantile_range_partitioner({});
+  for (std::uint32_t total : {1u, 32u, 512u}) {
+    for (const std::string& key : keys) {
+      const auto rank = static_cast<std::uint64_t>(
+          std::upper_bound(samples.begin(), samples.end(), key) -
+          samples.begin());
+      const std::uint64_t bucket = rank * total / (samples.size() + 1);
+      const std::uint64_t last = total - 1;
+      ASSERT_EQ(quantile(key, total), std::min(bucket, last))
+          << "total " << total << " key of " << key.size() << " bytes";
+      ASSERT_EQ(splitter(key, total), std::min(rank, last))
+          << "total " << total << " key of " << key.size() << " bytes";
+      ASSERT_EQ(no_samples(key, total), 0u);
+    }
+  }
 }
 
 // ---------- K-Means ----------

@@ -370,7 +370,19 @@ TEST(IntermediateStore, RepeatedSingletonTagIsDroppedAndCounted) {
   add_tagged(p, store, 0, make_run("c", 10), {});   // untagged: always in
   add_tagged(p, store, 0, make_run("c", 10), {});
   EXPECT_EQ(store.duplicate_runs_dropped(), 1u);
-  EXPECT_EQ(drained_pairs(p, store, 0), 40u);
+  // Tags either side of a 64-bit bitmap word boundary, 32 apart in one
+  // word, and far past the bitmap's current end: each is admitted once,
+  // shadows only itself, and its repeat is dropped.
+  const std::vector<std::uint64_t> edges = {63, 64, 65, 96, 127, 100000};
+  for (std::uint64_t t : edges) {
+    add_tagged(p, store, 0, make_run("t" + std::to_string(t), 10), {t});
+  }
+  for (std::uint64_t t : edges) {
+    add_tagged(p, store, 0, make_run("t" + std::to_string(t), 10), {t});
+  }
+  add_tagged(p, store, 1, make_run("t", 10), {100000});  // other partition
+  EXPECT_EQ(store.duplicate_runs_dropped(), 7u);
+  EXPECT_EQ(drained_pairs(p, store, 0), 100u);
 }
 
 TEST(IntermediateStore, CombinedRunShadowsSingletonRefeeds) {
@@ -388,7 +400,17 @@ TEST(IntermediateStore, CombinedRunShadowsSingletonRefeeds) {
   add_tagged(p, store, 0, make_run("abc", 30), {3, 1, 2});
   add_tagged(p, store, 0, make_run("d", 10), {4});
   EXPECT_EQ(store.duplicate_runs_dropped(), 4u);
-  EXPECT_EQ(drained_pairs(p, store, 0), 40u);
+  // The same across bitmap word boundaries and far past the bitmap's end.
+  add_tagged(p, store, 0, make_run("wxyz", 40), {63, 64, 65, 100000});
+  add_tagged(p, store, 0, make_run("w", 10), {63});
+  add_tagged(p, store, 0, make_run("x", 10), {64});
+  add_tagged(p, store, 0, make_run("y", 10), {65});
+  add_tagged(p, store, 0, make_run("z", 10), {100000});
+  add_tagged(p, store, 0, make_run("wxyz", 40), {100000, 65, 64, 63});
+  add_tagged(p, store, 0, make_run("e", 10), {66});
+  add_tagged(p, store, 0, make_run("f", 10), {99999});
+  EXPECT_EQ(store.duplicate_runs_dropped(), 9u);
+  EXPECT_EQ(drained_pairs(p, store, 0), 100u);
 }
 
 TEST(IntermediateStoreDeathTest, PartialTagOverlapAborts) {
