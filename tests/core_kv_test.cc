@@ -107,6 +107,39 @@ TEST(Run, SerializeDeserialize) {
   EXPECT_EQ(back.data, run.data);
 }
 
+// take_serialized writes a u32 prefix and serialize()'s bytes into the
+// run's own buffer; adopt_serialized takes them back without a copy.
+TEST(Run, TakeSerializedFramesInPlace) {
+  RunBuilder rb;
+  for (int i = 0; i < 1000; ++i) {
+    rb.add("key" + std::to_string(10000 + i), "value" + std::to_string(i));
+  }
+  gw::core::Run built = rb.finish(true);
+  const gw::core::Run run = built;
+  util::ByteWriter w;
+  w.buffer().reserve(run.data.size() + 64);
+  w.put_u32(77);
+  run.serialize(w);
+
+  // RunBuilder leaves headroom for the header: the frame is the run's
+  // buffer.
+  const std::uint8_t* payload = built.data.data();
+  util::Bytes frame = std::move(built).take_serialized(77);
+  EXPECT_EQ(frame, w.buffer());
+  EXPECT_EQ(frame.data(), payload);
+  gw::core::Run back = gw::core::Run::adopt_serialized(std::move(frame), 4);
+  EXPECT_EQ(back.data.data(), payload);
+  EXPECT_EQ(back.pairs, run.pairs);
+  EXPECT_EQ(back.compressed, run.compressed);
+  EXPECT_EQ(back.raw_bytes, run.raw_bytes);
+  EXPECT_EQ(back.data, run.data);
+
+  // A plain copy has none: its frame is regrown to exactly the frame size.
+  util::Bytes copied = gw::core::Run(run).take_serialized(77);
+  EXPECT_EQ(copied, w.buffer());
+  EXPECT_EQ(copied.capacity(), copied.size());
+}
+
 TEST(Merge, TwoSortedRunsInterleave) {
   RunBuilder a, b;
   a.add("a", "1");
