@@ -18,6 +18,9 @@
 //                 add_run on a 64-node platform (time and heap allocations
 //                 per message), and the partition step over one 256 KiB
 //                 terasort chunk, loop side and pool-job side
+//   * k-means:    the map kernel (nearest-center search and emit) over one
+//                 256 KiB split of points, time and heap allocations per
+//                 point
 //
 // Run via bench/run_host_path.sh to record BENCH_hostpath.json; CI smokes it
 // with --benchmark_min_time so regressions in the host path are visible
@@ -34,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/kmeans.h"
 #include "apps/terasort.h"
 #include "cluster/cluster.h"
 #include "core/collector.h"
@@ -498,6 +502,54 @@ void BM_PartitionChunk(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunkPairs));
 }
 BENCHMARK(BM_PartitionChunk)->ArgName("job")->Arg(0)->Arg(1)->UseRealTime();
+
+// ---- k-means map kernel ----
+
+// Counts what a collector would be handed; stores nothing.
+struct CountingEmitter final : core::MapEmitter {
+  std::uint64_t pairs = 0;
+  std::uint64_t bytes = 0;
+  void emit(std::string_view key, std::string_view value) override {
+    ++pairs;
+    bytes += key.size() + value.size();
+  }
+};
+
+// One 256 KiB split of 4-dimensional points (16,384 records) through the
+// k-means map kernel into a counting emitter, with the paper's 16 and 1024
+// centers: the nearest-center search, the charge and the emit encoding.
+// Reports time and heap allocations per point.
+void BM_KmeansMap(benchmark::State& state) {
+  const apps::KmeansConfig km{.k = static_cast<int>(state.range(0)),
+                              .dims = 4};
+  const std::size_t record = static_cast<std::size_t>(km.dims) * 4;
+  const std::uint64_t split_points = (256 << 10) / record;
+  const util::Bytes split = apps::generate_points(km, split_points, 42);
+  const core::MapFn map =
+      apps::kmeans(km, apps::generate_centers(km, 42)).kernels.map;
+  const auto* base = reinterpret_cast<const char*>(split.data());
+  CountingEmitter out;
+  cl::KernelCounters counters;
+  core::MapContext ctx{&out, &counters};
+  std::uint64_t points = 0;
+  g_heap_allocs.store(0);
+  for (auto _ : state) {
+    g_count_allocs.store(true);
+    for (std::size_t off = 0; off < split.size(); off += record) {
+      map(std::string_view(base + off, record), ctx);
+    }
+    g_count_allocs.store(false);
+    points += split_points;
+  }
+  benchmark::DoNotOptimize(out);
+  state.SetItemsProcessed(static_cast<std::int64_t>(points));
+  state.counters["ns_per_point"] = benchmark::Counter(
+      static_cast<double>(points) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["allocs_per_point"] =
+      static_cast<double>(g_heap_allocs.load()) / static_cast<double>(points);
+}
+BENCHMARK(BM_KmeansMap)->ArgName("k")->Arg(16)->Arg(1024);
 
 }  // namespace
 

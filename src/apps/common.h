@@ -15,11 +15,17 @@ namespace gw::apps {
 
 // Fixed-width big-endian integer keys sort correctly under the framework's
 // lexicographic byte comparison.
+inline void store_be32(char* out, std::uint32_t v) {
+  out[0] = static_cast<char>(v >> 24);
+  out[1] = static_cast<char>(v >> 16);
+  out[2] = static_cast<char>(v >> 8);
+  out[3] = static_cast<char>(v);
+}
+
 inline void put_be32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v >> 24));
-  out.push_back(static_cast<char>(v >> 16));
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
+  char buf[4];
+  store_be32(buf, v);
+  out.append(buf, sizeof(buf));
 }
 
 inline std::uint32_t get_be32(std::string_view s) {

@@ -1,6 +1,8 @@
 #include "apps/kmeans.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -11,8 +13,114 @@ namespace gw::apps {
 
 namespace {
 
-int nearest_center(const float* point, const std::vector<float>& centers,
-                   int k, int d) {
+// GCC vector types: the compiler lowers them to the target's SIMD (SSE2 on
+// x86-64, NEON on AArch64) or to scalar code, with no intrinsics.
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+
+constexpr int kBlock = 8;  // centers per search step
+
+// The CenterColumns search over `kBlock / lanes` accumulators of F (floats)
+// and I (their center indices). Always inlined, so each caller compiles it
+// for its own target.
+template <class F, class I>
+[[gnu::always_inline]] inline int nearest_in_columns(const float* point,
+                                                     const float* cols, int d,
+                                                     int stride) {
+  constexpr int kLanes = sizeof(F) / sizeof(float);
+  constexpr int kAcc = kBlock / kLanes;
+  static_assert(kAcc * kLanes == kBlock);
+  F p[kKmeansMaxDims] = {};
+  // Center 0's distance seeds every lane, as the scalar loop's first step.
+  float dist0 = 0.0f;
+  for (int j = 0; j < d; ++j) {
+    for (int l = 0; l < kLanes; ++l) p[j][l] = point[j];
+    const float delta = point[j] - cols[static_cast<std::size_t>(j) * stride];
+    dist0 += delta * delta;
+  }
+  F best[kAcc] = {};
+  I best_c[kAcc] = {};
+  I c[kAcc] = {};
+  for (int a = 0; a < kAcc; ++a) {
+    for (int l = 0; l < kLanes; ++l) {
+      best[a][l] = dist0;
+      c[a][l] = a * kLanes + l;
+    }
+  }
+  for (int base = 0; base < stride; base += kBlock) {
+    F dist[kAcc] = {};
+    for (int j = 0; j < d; ++j) {
+      const float* col = cols + static_cast<std::size_t>(j) * stride + base;
+      for (int a = 0; a < kAcc; ++a) {
+        F x = {};
+        std::memcpy(&x, col + a * kLanes, sizeof(x));
+        const F delta = p[j] - x;
+        dist[a] += delta * delta;
+      }
+    }
+    for (int a = 0; a < kAcc; ++a) {
+      const I less = dist[a] < best[a];
+      best[a] = less ? dist[a] : best[a];
+      best_c[a] = less ? c[a] : best_c[a];
+      c[a] += kBlock;
+    }
+  }
+  // Smallest distance, ties to the lowest index. If center 0's distance is
+  // NaN every lane still holds (NaN, 0), and no comparison moves off it.
+  float best_dist = best[0][0];
+  int best_center = best_c[0][0];
+  for (int a = 0; a < kAcc; ++a) {
+    for (int l = 0; l < kLanes; ++l) {
+      const float x = best[a][l];
+      const int i = best_c[a][l];
+      if (x < best_dist || (x == best_dist && i < best_center)) {
+        best_dist = x;
+        best_center = i;
+      }
+    }
+  }
+  return best_center;
+}
+
+using SearchFn = int (*)(const float*, const float*, int, int);
+
+int search_4x2(const float* point, const float* cols, int d, int stride) {
+  return nearest_in_columns<F4, I4>(point, cols, d, stride);
+}
+
+#if defined(__x86_64__)
+// One 8-lane accumulator on hosts with AVX2. Only this function sees the
+// 8-lane types, so the default x86-64 target never splits them.
+using F8 = float __attribute__((vector_size(32)));
+using I8 = std::int32_t __attribute__((vector_size(32)));
+
+[[gnu::target("avx2")]] int search_8x1(const float* point, const float* cols,
+                                       int d, int stride) {
+  return nearest_in_columns<F8, I8>(point, cols, d, stride);
+}
+#endif
+
+SearchFn pick_search() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) return search_8x1;
+#endif
+  return search_4x2;
+}
+
+// Value payload: d float sums + u32 count, written to `out`.
+constexpr std::size_t kMaxValueBytes = kKmeansMaxDims * 4 + 4;
+
+std::string_view encode_partial(const float* sums, int d, std::uint32_t count,
+                                char (&out)[kMaxValueBytes]) {
+  const std::size_t n = static_cast<std::size_t>(d) * 4;
+  std::memcpy(out, sums, n);
+  store_be32(out + n, count);
+  return {out, n + 4};
+}
+
+}  // namespace
+
+int nearest_center(const float* point, const float* centers, int k, int d) {
   int best = 0;
   float best_dist = 0;
   for (int c = 0; c < k; ++c) {
@@ -29,42 +137,54 @@ int nearest_center(const float* point, const std::vector<float>& centers,
   return best;
 }
 
-// Value payload: d float sums + u32 count.
-std::string encode_partial(const float* sums, int d, std::uint32_t count) {
-  std::string out;
-  out.reserve(static_cast<std::size_t>(d) * 4 + 4);
-  for (int j = 0; j < d; ++j) append_f32(out, sums[j]);
-  put_be32(out, count);
-  return out;
+CenterColumns::CenterColumns(const std::vector<float>& centers, int k, int d)
+    : d_(d), stride_((k + kBlock - 1) / kBlock * kBlock) {
+  GW_CHECK(k >= 1 && d >= 1 && d <= kKmeansMaxDims);
+  GW_CHECK(centers.size() == static_cast<std::size_t>(k) * d);
+  cols_.assign(static_cast<std::size_t>(d) * stride_,
+               std::numeric_limits<float>::quiet_NaN());
+  for (int c = 0; c < k; ++c) {
+    for (int j = 0; j < d; ++j) {
+      cols_[static_cast<std::size_t>(j) * stride_ + c] =
+          centers[static_cast<std::size_t>(c) * d + j];
+    }
+  }
 }
 
-}  // namespace
+int CenterColumns::nearest(const float* point) const {
+  static const SearchFn search = pick_search();
+  return search(point, cols_.data(), d_, stride_);
+}
+
+int CenterColumns::nearest_4x2(const float* point) const {
+  return search_4x2(point, cols_.data(), d_, stride_);
+}
 
 AppSpec kmeans(KmeansConfig config, std::vector<float> centers) {
   GW_CHECK(static_cast<int>(centers.size()) == config.k * config.dims);
   const int k = config.k;
   const int d = config.dims;
-  auto shared_centers = std::make_shared<std::vector<float>>(std::move(centers));
+  auto columns = std::make_shared<const CenterColumns>(centers, k, d);
 
   AppSpec spec;
   spec.kernels.name = "kmeans";
   spec.kernels.fixed_record_size = static_cast<std::uint64_t>(d) * 4;
 
-  spec.kernels.map = [k, d, shared_centers](std::string_view record,
-                                            core::MapContext& ctx) {
+  spec.kernels.map = [k, d, columns](std::string_view record,
+                                     core::MapContext& ctx) {
     GW_CHECK(record.size() == static_cast<std::size_t>(d) * 4);
-    float point[16];
-    GW_CHECK(d <= 16);
-    for (int j = 0; j < d; ++j) point[j] = read_f32(record.data() + 4 * j);
+    float point[kKmeansMaxDims];
+    std::memcpy(point, record.data(), record.size());
     // k*d multiply-add-compare distance evaluations plus fixed per-point
     // work-item overhead (point load, index math, argmin bookkeeping) —
     // which dominates for small center counts, as the paper's 16-center
     // configuration shows (§IV-A2).
     ctx.charge_ops(static_cast<std::uint64_t>(3 * k) * d + 800);
-    const int best = nearest_center(point, *shared_centers, k, d);
-    std::string key;
-    put_be32(key, static_cast<std::uint32_t>(best));
-    ctx.emit(key, encode_partial(point, d, 1));
+    char key[4];
+    store_be32(key, static_cast<std::uint32_t>(columns->nearest(point)));
+    char value[kMaxValueBytes];
+    ctx.emit(std::string_view(key, sizeof(key)),
+             encode_partial(point, d, 1, value));
   };
 
   auto aggregate = [d](std::string_view /*key*/,
@@ -83,11 +203,13 @@ AppSpec kmeans(KmeansConfig config, std::vector<float> centers) {
                              std::string_view key,
                              const std::vector<std::string_view>& values,
                              core::ReduceContext& ctx) {
-    float sums[16];
+    float sums[kKmeansMaxDims];
     std::uint64_t count = 0;
     aggregate(key, values, sums, &count);
     ctx.charge_ops(static_cast<std::uint64_t>(values.size()) * (d + 1));
-    ctx.emit(key, encode_partial(sums, d, static_cast<std::uint32_t>(count)));
+    char value[kMaxValueBytes];
+    ctx.emit(key, encode_partial(sums, d, static_cast<std::uint32_t>(count),
+                                 value));
   };
   // Float accumulation is order-sensitive; hierarchical combining regroups
   // partials, so byte-identical output across modes is NOT guaranteed.
@@ -98,15 +220,17 @@ AppSpec kmeans(KmeansConfig config, std::vector<float> centers) {
                             std::string_view key,
                             const std::vector<std::string_view>& values,
                             core::ReduceContext& ctx) {
-    float sums[16];
+    float sums[kKmeansMaxDims];
     std::uint64_t count = 0;
     aggregate(key, values, sums, &count);
     ctx.charge_ops(static_cast<std::uint64_t>(values.size()) * (d + 1));
-    float means[16];
+    float means[kKmeansMaxDims];
     for (int j = 0; j < d; ++j) {
       means[j] = count > 0 ? sums[j] / static_cast<float>(count) : 0.0f;
     }
-    ctx.emit(key, encode_partial(means, d, static_cast<std::uint32_t>(count)));
+    char value[kMaxValueBytes];
+    ctx.emit(key, encode_partial(means, d, static_cast<std::uint32_t>(count),
+                                 value));
   };
 
   return spec;
@@ -142,17 +266,15 @@ KmeansReference kmeans_reference(const KmeansConfig& config,
                                  const util::Bytes& points) {
   const int k = config.k;
   const int d = config.dims;
+  GW_CHECK(d >= 1 && d <= kKmeansMaxDims);
   KmeansReference ref;
   ref.counts.assign(k, 0);
   std::vector<double> sums(static_cast<std::size_t>(k) * d, 0.0);
   const std::size_t record = static_cast<std::size_t>(d) * 4;
   for (std::size_t off = 0; off + record <= points.size(); off += record) {
-    float point[16];
-    for (int j = 0; j < d; ++j) {
-      point[j] = read_f32(reinterpret_cast<const char*>(points.data()) + off +
-                          4 * j);
-    }
-    const int best = nearest_center(point, centers, k, d);
+    float point[kKmeansMaxDims];
+    std::memcpy(point, points.data() + off, record);
+    const int best = nearest_center(point, centers.data(), k, d);
     ref.counts[best]++;
     for (int j = 0; j < d; ++j) {
       sums[static_cast<std::size_t>(best) * d + j] += point[j];

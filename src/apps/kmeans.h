@@ -18,14 +18,45 @@
 
 namespace gw::apps {
 
+// Points and partial sums live in fixed stack buffers of this many floats.
+constexpr int kKmeansMaxDims = 16;
+
 struct KmeansConfig {
   int k = 1024;        // number of centers
-  int dims = 4;        // dimensions
+  int dims = 4;        // dimensions, at most kKmeansMaxDims
 };
 
 // Point record: dims floats. Value format: dims float partial sums + u32
 // count. Reduce emits (center-id, dims float means + u32 count).
 AppSpec kmeans(KmeansConfig config, std::vector<float> centers);
+
+// Scalar nearest-center search over `k * d` row-major centers: the lowest
+// index with the smallest squared distance. A NaN distance never wins, and
+// a NaN distance to center 0 makes center 0 the answer. The oracle for
+// CenterColumns::nearest, and the search kmeans_reference uses.
+int nearest_center(const float* point, const float* centers, int k, int d);
+
+// One round's centers transposed into `d` columns of `stride` floats
+// (`k` rounded up to 8), searched 8 centers per step in SIMD lanes. Pad
+// slots hold NaN, so they never win. Both searches return exactly what
+// nearest_center returns, NaN and ±inf coordinates included: each lane
+// computes its distance with the scalar op sequence, updates only on a
+// strict `<`, and the lanes reduce with ties going to the lowest index.
+class CenterColumns {
+ public:
+  CenterColumns(const std::vector<float>& centers, int k, int d);
+  // The search the map kernel runs: one 8-lane AVX2 accumulator on x86-64
+  // hosts that have AVX2 (checked once per process), else nearest_4x2.
+  int nearest(const float* point) const;
+  // The portable search: two 4-lane accumulators in GCC vector types.
+  // Public so that tests cover it on every host.
+  int nearest_4x2(const float* point) const;
+
+ private:
+  int d_;
+  int stride_;
+  std::vector<float> cols_;  // cols_[j * stride_ + c] = centers[c * d + j]
+};
 
 // `k * dims` floats, deterministic from the seed, in [0, 100).
 std::vector<float> generate_centers(const KmeansConfig& config,

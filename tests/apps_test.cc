@@ -3,6 +3,7 @@
 // direct reference implementation.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -419,6 +420,79 @@ TEST(KMeans, DagMatchesHandRolledLoop) {
   EXPECT_EQ(pin.iterations.counts, counts);
   EXPECT_TRUE(pin_raw.empty());  // nothing materialized to the base fs
   EXPECT_LT(pin_dfs, ck_dfs);
+}
+
+// Both column searches must give every point exactly the scalar oracle's
+// center: ties to the lowest index within a lane (duplicates 8 centers
+// apart) and across lanes and accumulators, NaN distances that never win, a
+// NaN distance to center 0 that keeps center 0, and distances that overflow
+// to +inf.
+TEST(KMeans, NearestCenterMatchesScalarOracle) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(18);
+  auto uniform = [&rng](double lo, double hi) {
+    return static_cast<float>(rng.uniform(lo, hi));
+  };
+  enum Variant { kRandom, kDuplicates, kNaNCenters, kInfCenters, kHuge };
+  std::uint64_t points_checked = 0;
+  for (int k : {1, 7, 8, 9, 16, 1023, 1024}) {
+    for (int d : {1, 3, 4, 16}) {
+      for (Variant variant :
+           {kRandom, kDuplicates, kNaNCenters, kInfCenters, kHuge}) {
+        const double scale = variant == kHuge ? 1.5e19 : 100.0;
+        std::vector<float> centers(static_cast<std::size_t>(k) * d);
+        for (float& x : centers) x = uniform(-scale, scale);
+        auto center = [&](int c) {
+          return centers.begin() + static_cast<std::ptrdiff_t>(c) * d;
+        };
+        if (variant == kDuplicates) {
+          for (auto [dst, src] : {std::pair{8, 0}, {11, 3}, {1000, 3},
+                                  {5, 2}, {k - 1, 1}}) {
+            if (dst < k && src < dst) std::copy_n(center(src), d, center(dst));
+          }
+        }
+        if (variant == kNaNCenters || variant == kInfCenters) {
+          const float special = variant == kNaNCenters ? kNaN : kInf;
+          center(0)[d - 1] = special;
+          if (k > 5) center(5)[0] = special;
+        }
+
+        std::vector<std::vector<float>> points;
+        for (int i = 0; i < 32; ++i) {
+          std::vector<float> p(static_cast<std::size_t>(d));
+          for (float& x : p) x = uniform(-scale, scale);
+          points.push_back(std::move(p));
+        }
+        for (int c : {0, 1, 2, 3, 5, 8, 11, 1000, k - 1}) {
+          if (c >= k) continue;
+          points.emplace_back(center(c), center(c) + d);
+          std::vector<float> near(center(c), center(c) + d);
+          near[0] += static_cast<float>(scale) * 1e-3f;
+          points.push_back(std::move(near));
+        }
+        std::vector<float> nan_point = points[0];
+        nan_point[0] = kNaN;
+        points.push_back(nan_point);
+        std::vector<float> inf_point = points[1];
+        inf_point[d - 1] = kInf;
+        points.push_back(inf_point);
+
+        const CenterColumns columns(centers, k, d);
+        for (const auto& p : points) {
+          const int want = nearest_center(p.data(), centers.data(), k, d);
+          ASSERT_EQ(columns.nearest(p.data()), want)
+              << "k=" << k << " d=" << d << " variant " << variant
+              << " point " << (&p - points.data());
+          ASSERT_EQ(columns.nearest_4x2(p.data()), want)
+              << "4x2: k=" << k << " d=" << d << " variant " << variant
+              << " point " << (&p - points.data());
+          ++points_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(points_checked, 5000u);
 }
 
 // ---------- Matrix Multiply ----------
