@@ -193,8 +193,8 @@ inline void print_stage_breakdown(const std::vector<const char*>& columns,
 
 // One-line host-path summary for a finished job: intermediate-store merge
 // activity (count, average fan-in, spills), the memory-governor columns
-// (spilled bytes, merge-tree depth, peak budget occupancy, stall time — all
-// zero on ungoverned runs), and collector hash-probe work.
+// (spilled bytes, merge-tree depth, peak occupancy, stall time; unbounded
+// runs stall nowhere), and collector hash-probe work.
 inline void print_host_path_summary(const char* label,
                                     const core::JobResult& r) {
   const double fanin =

@@ -44,6 +44,7 @@
 #include "core/intermediate.h"
 #include "core/kv.h"
 #include "core/kv_reference.h"
+#include "core/memory.h"
 #include "core/pipeline.h"
 #include "gwcl/device.h"
 #include "sim/sim.h"
@@ -423,6 +424,7 @@ void BM_ShuffleMessage(benchmark::State& state) {
 
   core::NodeContext ctx;
   ctx.platform = &platform;
+  core::MemoryGovernor mem(sim, 0);  // unbounded
   std::unique_ptr<core::IntermediateStore> store;
   sim::TaskGroup sends(sim);
   sim.spawn(receive_into(platform.transport(), 0, port, &store));
@@ -434,7 +436,7 @@ void BM_ShuffleMessage(benchmark::State& state) {
     state.PauseTiming();
     if (tag % (64 * kMessagesPerIter) == 0) {
       store = std::make_unique<core::IntermediateStore>(platform.node(0),
-                                                        sim, cfg);
+                                                        sim, cfg, mem);
     }
     for (core::Run& r : runs) r = make_run();
     g_count_allocs.store(true);

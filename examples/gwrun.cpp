@@ -67,9 +67,9 @@ struct Flags {
   std::vector<core::JobConfig::CrashEvent> crash_events;
   std::vector<std::pair<int, double>> restarts;
   bool speculate = false;
-  // Memory governor: 0 = ungoverned (legacy unbounded buffers), so default
-  // runs stay byte-identical. --mem-mb arms budgeted spills + the
-  // multi-level external merge; --spill-bw overrides spill disk bandwidth.
+  // Per-node memory budget: 0 = unbounded pools (nothing blocks on memory,
+  // peak still measured); a budget brings budgeted spills + the multi-level
+  // external merge. --spill-bw overrides spill disk bandwidth.
   std::uint64_t mem_mb = 0;
   double spill_bw_mb = 0;
   // Multi-round DAG mode: --rounds chains jobs through core::JobDag
@@ -129,9 +129,9 @@ void usage() {
       "                     it only rejoins as a DFS re-replication target\n"
       "  --speculate        clone straggler tasks near the end of the map\n"
       "                     phase; first finisher wins\n"
-      "  --mem-mb=N         per-node memory budget in MiB (0 = unlimited);\n"
-      "                     arms the memory governor: budgeted spills and\n"
-      "                     the multi-level external merge\n"
+      "  --mem-mb=N         per-node memory budget in MiB: budgeted spills,\n"
+      "                     the multi-level external merge and a mem: line;\n"
+      "                     0 (default) = unbounded, nothing blocks on memory\n"
       "  --spill-bw=MBps    disk bandwidth override for spill/merge i/o\n"
       "                     (0 = the node's disk spec)\n"
       "  --rounds=N         multi-round DAG mode (core::JobDag): kmeans runs\n"
@@ -516,15 +516,13 @@ int main(int argc, char** argv) {
     core::DagResult dr;
     try {
       if (flags.app == "kmeans") {
-        if (!dc.round_crashes.empty()) {
-          std::fprintf(stderr, "--kill-round is not supported for kmeans\n");
-          return 2;
-        }
         apps::KmeansConfig km;
         dr = apps::kmeans_dag(rt, platform, fs, km,
                               apps::generate_centers(km, flags.seed),
                               "/in/data", "/out", flags.rounds, cfg, edge,
-                              flags.pin_intermediates)
+                              flags.pin_intermediates,
+                              /*pin_budget_bytes=*/0,
+                              std::move(dc.round_crashes))
                  .dag;
       } else if (flags.app == "terasort") {
         dr = apps::terasort_dag(rt, platform, fs, std::move(dc), edge);

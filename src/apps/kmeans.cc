@@ -326,7 +326,9 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
                            const std::string& points_path,
                            const std::string& output_prefix, int iterations,
                            core::JobConfig base, core::EdgeKind edge,
-                           bool pin_inputs, std::uint64_t pin_budget_bytes) {
+                           bool pin_inputs, std::uint64_t pin_budget_bytes,
+                           std::vector<core::DagConfig::RoundCrash>
+                               round_crashes) {
   GW_CHECK(iterations >= 1);
   const int k = config.k;
   const int d = config.dims;
@@ -337,6 +339,7 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
   dc.base = std::move(base);
   dc.pin_inputs = pin_inputs;
   dc.pin_budget_bytes = pin_budget_bytes;
+  dc.round_crashes = std::move(round_crashes);
   dc.initial_broadcast = encode_kmeans_state(
       initial_centers, std::vector<std::uint64_t>(static_cast<std::size_t>(k)));
 
@@ -394,18 +397,6 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
     out.iterations.total_elapsed_seconds += r.job.elapsed_seconds;
   }
   return out;
-}
-
-KmeansIterations kmeans_iterate(core::GlasswingRuntime& runtime,
-                                cluster::Platform& platform,
-                                dfs::FileSystem& fs, KmeansConfig config,
-                                std::vector<float> initial_centers,
-                                const std::string& points_path,
-                                const std::string& output_prefix,
-                                int iterations, core::JobConfig base) {
-  return kmeans_dag(runtime, platform, fs, config, std::move(initial_centers),
-                    points_path, output_prefix, iterations, std::move(base))
-      .iterations;
 }
 
 }  // namespace gw::apps

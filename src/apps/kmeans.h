@@ -93,7 +93,8 @@ struct KmeansDagResult {
 // the broadcast centers, with the updated centers extracted from the round
 // output and re-broadcast. `edge` picks where each iteration's (tiny)
 // center file lives; `pin_inputs` caches the re-read point splits in pinned
-// memory so iterations 1..n-1 skip the DFS read path.
+// memory so iterations 1..n-1 skip the DFS read path. `round_crashes`
+// kills nodes inside given iterations (DagConfig::round_crashes).
 KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
                            cluster::Platform& platform, dfs::FileSystem& fs,
                            KmeansConfig config,
@@ -103,17 +104,9 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
                            core::JobConfig base,
                            core::EdgeKind edge = core::EdgeKind::kCheckpoint,
                            bool pin_inputs = false,
-                           std::uint64_t pin_budget_bytes = 0);
-
-// Legacy entry point; now a thin wrapper over kmeans_dag with checkpoint
-// edges and no input pinning (byte-identical outputs and elapsed time).
-KmeansIterations kmeans_iterate(core::GlasswingRuntime& runtime,
-                                cluster::Platform& platform,
-                                dfs::FileSystem& fs, KmeansConfig config,
-                                std::vector<float> initial_centers,
-                                const std::string& points_path,
-                                const std::string& output_prefix,
-                                int iterations, core::JobConfig base);
+                           std::uint64_t pin_budget_bytes = 0,
+                           std::vector<core::DagConfig::RoundCrash>
+                               round_crashes = {});
 
 struct KmeansReference {
   std::vector<std::uint64_t> counts;     // per center

@@ -161,14 +161,16 @@ struct JobConfig {
 
   // --- memory governor / external shuffle-sort ---
   // Per-node memory budget for pipeline buffers, the intermediate-store run
-  // cache and merge scratch. 0 = ungoverned: the legacy unbounded-memory
-  // data path, byte-identical to previous releases. Nonzero budgets make
-  // every buffer-holding component acquire bytes from per-stage pools
-  // (core::MemoryGovernor), blocking deterministically under pressure; the
-  // store spills sorted runs to disk and consolidates them with a
-  // multi-level merge whose fan-in derives from the merge pool budget:
+  // cache and merge scratch. Every buffer-holding component acquires its
+  // bytes from per-stage pools (core::MemoryGovernor), blocking
+  // deterministically under pressure; the store spills sorted runs to disk
+  // and consolidates them with a multi-level merge whose fan-in derives
+  // from the merge pool budget:
   //   fan_in = max(2, merge_pool_bytes / 256 KiB - 1)
   // (one 256 KiB i/o buffer per input run plus one for the merged output).
+  // 0 = unbounded: no acquire blocks, the store spills only past
+  // cache_threshold_bytes, and peak occupancy is still measured
+  // (JobStats::peak_mem_bytes).
   std::uint64_t node_memory_bytes = 0;
   // Disk bandwidth override for spill writes and spill-merge i/o
   // (bytes/s, applied to both directions); 0 = the node's disk spec.
@@ -299,7 +301,7 @@ struct JobStats {
   // --- memory governor (external shuffle/sort) ---
   std::uint64_t spill_bytes = 0;       // stored bytes written by spills
   std::uint64_t merge_levels = 0;      // deepest multi-level merge tree
-  std::uint64_t peak_mem_bytes = 0;    // max governed occupancy on any node
+  std::uint64_t peak_mem_bytes = 0;    // max governor occupancy on any node
   double mem_stall_seconds = 0;        // time blocked on memory pools (sum)
   // Input runs consumed across all intermediate-store merges; divided by
   // `merges` this gives the average merge fan-in.

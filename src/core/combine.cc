@@ -8,8 +8,8 @@ namespace gw::core {
 
 namespace {
 
-// Ungoverned runs: buffered pre-combine bytes per node before a combine
-// flush. Governed runs use the governor's combine pool instead.
+// Unbounded budget: buffered pre-combine bytes per node before a combine
+// flush. A nonzero budget flushes when the combine pool is full instead.
 constexpr std::uint64_t kCombineBufferBytes = 4ull << 20;
 
 // Bridges the combine function's emits into a RunBuilder. The combine
@@ -74,28 +74,27 @@ sim::Task<> NodeCombiner::add(int g, std::vector<std::uint64_t> tags,
                               Run run) {
   if (run.empty()) co_return;
   const std::uint64_t bytes = run.stored_bytes();
-  sim::Resource::Hold hold;
-  if (ctx_.mem != nullptr) {
-    if (!ctx_.mem->fits(MemoryGovernor::Pool::kCombine, bytes)) {
-      co_await flush_all();  // releases this combiner's staging holds
-    }
-    if (!ctx_.mem->fits(MemoryGovernor::Pool::kCombine, bytes)) {
-      // Still no room: another combiner on this node holds the pool. Pass
-      // the run through uncombined rather than block — blocking here could
-      // deadlock the map phase against a rack aggregator that is waiting
-      // for this very node's end-of-stream.
-      ++metrics_.passthrough;
-      route(g, std::move(tags), std::move(run));
-      co_return;
-    }
-    hold = co_await ctx_.mem->acquire(MemoryGovernor::Pool::kCombine, bytes);
-  } else if (buffered_ > 0 && buffered_ + bytes > kCombineBufferBytes) {
-    co_await flush_all();
+  MemoryGovernor& mem = *ctx_.mem;
+  const bool full =
+      mem.bounded()
+          ? !mem.fits(MemoryGovernor::Pool::kCombine, bytes)
+          : buffered_ > 0 && buffered_ + bytes > kCombineBufferBytes;
+  if (full) co_await flush_all();  // releases this combiner's staging holds
+  if (!mem.fits(MemoryGovernor::Pool::kCombine, bytes)) {
+    // Still no room: another combiner on this node holds the pool. Pass
+    // the run through uncombined rather than block — blocking here could
+    // deadlock the map phase against a rack aggregator that is waiting
+    // for this very node's end-of-stream.
+    ++metrics_.passthrough;
+    route(g, std::move(tags), std::move(run));
+    co_return;
   }
+  sim::Resource::Hold hold =
+      co_await mem.acquire(MemoryGovernor::Pool::kCombine, bytes);
   Bucket& b = buckets_[g];
   for (std::uint64_t t : tags) b.tags.push_back(t);
   b.runs.push_back(std::move(run));
-  if (ctx_.mem != nullptr) b.holds.push_back(std::move(hold));
+  b.holds.push_back(std::move(hold));
   b.bytes += bytes;
   buffered_ += bytes;
 }

@@ -89,8 +89,8 @@ class NodeCombiner {
   };
 
   // `topo.rack_size == 0` (node mode) routes everything straight to the
-  // owner. Governed (`ctx.mem` non-null) staging draws from the governor's
-  // combine pool; ungoverned staging flushes past 4 MiB of buffered runs.
+  // owner. Staging draws from the governor's combine pool, and flushes when
+  // that pool is full, or past 4 MiB of buffered runs if it is unbounded.
   NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo);
 
   // Buffers one run for global partition g, tagged with the union of its
@@ -116,7 +116,7 @@ class NodeCombiner {
   struct Bucket {
     std::vector<std::uint64_t> tags;
     std::vector<Run> runs;
-    std::vector<sim::Resource::Hold> holds;  // governed staging bytes
+    std::vector<sim::Resource::Hold> holds;  // combine-pool staging bytes
     std::uint64_t bytes = 0;
   };
 

@@ -22,7 +22,7 @@ constexpr std::uint64_t kMaxDedupTag =
 
 IntermediateStore::IntermediateStore(cluster::Node& node, sim::Simulation& sim,
                                      const JobConfig& config,
-                                     MemoryGovernor* mem)
+                                     MemoryGovernor& mem)
     : node_(node),
       sim_(sim),
       config_(config),
@@ -54,42 +54,38 @@ sim::Task<> IntermediateStore::add_run(int g, Run run,
   for (std::uint64_t t : tags) part.mark_seen(t);
 
   const std::uint64_t bytes = run.stored_bytes();
-  sim::Resource::Hold hold;
-  if (mem_ != nullptr) {
-    // A full store pool with a below-threshold cache would strand the
-    // producers (nothing queued means nothing ever spills): force the
-    // mergers to flush whatever is cached before blocking.
-    if (!mem_->fits(MemoryGovernor::Pool::kStore, bytes)) {
-      maybe_trigger_flushes(/*force=*/true);
-    }
-    hold = co_await mem_->acquire(MemoryGovernor::Pool::kStore, bytes);
+  // A full store pool with a below-threshold cache would strand the
+  // producers (nothing queued means nothing ever spills): force the
+  // mergers to flush whatever is cached before blocking.
+  if (!mem_.fits(MemoryGovernor::Pool::kStore, bytes)) {
+    maybe_trigger_flushes(/*force=*/true);
   }
+  sim::Resource::Hold hold =
+      co_await mem_.acquire(MemoryGovernor::Pool::kStore, bytes);
   part.cache_bytes += bytes;
   cache_bytes_total_ += bytes;
   part.cache.push_back(std::move(run));
-  if (mem_ != nullptr) part.cache_holds.push_back(std::move(hold));
+  part.cache_holds.push_back(std::move(hold));
   maybe_trigger_flushes(/*force=*/false);
 }
 
 bool IntermediateStore::under_pressure() const {
   if (cache_bytes_total_ > effective_cache_threshold()) return true;
-  // Governed: producers blocked on the store pool are memory pressure by
-  // definition, whatever the cached byte count says.
-  return mem_ != nullptr && mem_->contended(MemoryGovernor::Pool::kStore);
+  // Producers blocked on the store pool are memory pressure by definition,
+  // whatever the cached byte count says.
+  return mem_.contended(MemoryGovernor::Pool::kStore);
 }
 
 std::uint64_t IntermediateStore::effective_cache_threshold() const {
-  if (mem_ == nullptr) return config_.cache_threshold_bytes;
   // Flush before producers can exhaust the pool: the threshold must leave
   // headroom inside the store budget or add_run deadlocks against it.
   return std::min(config_.cache_threshold_bytes,
-                  mem_->pool_budget(MemoryGovernor::Pool::kStore) / 2);
+                  mem_.pool_budget(MemoryGovernor::Pool::kStore) / 2);
 }
 
 std::size_t IntermediateStore::fanin_limit() const {
-  if (mem_ == nullptr) return std::numeric_limits<std::size_t>::max();
   const std::uint64_t slots =
-      mem_->pool_budget(MemoryGovernor::Pool::kMerge) / kMergeIoBufferBytes;
+      mem_.pool_budget(MemoryGovernor::Pool::kMerge) / kMergeIoBufferBytes;
   // One i/o buffer per input run plus one for the merged output.
   return std::max<std::size_t>(
       2, slots > 1 ? static_cast<std::size_t>(slots - 1) : 2);
@@ -146,9 +142,8 @@ void IntermediateStore::reopen() {
     for (const Run& r : part.cache) bytes += r.stored_bytes();
     part.cache_bytes = bytes;
     cache_bytes_total_ += bytes;
-    GW_CHECK_MSG(
-        mem_ == nullptr || part.cache_holds.size() == part.cache.size(),
-        "cache holds out of sync across reopen");
+    GW_CHECK_MSG(part.cache_holds.size() == part.cache.size(),
+                 "cache holds out of sync across reopen");
     GW_CHECK_MSG(part.disk_levels.size() == part.disk.size(),
                  "disk run levels out of sync across reopen");
   }
@@ -191,9 +186,9 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
   // Step 1: merge+flush the cached runs to one on-disk run. During the
   // final drain, cached data that already fits in few runs stays in memory
   // (only consolidated if the run count is excessive); under cache pressure
-  // everything cached is flushed. A governed store always writes the merged
-  // output to disk — external-sort semantics: re-caching it would have to
-  // re-acquire the store pool the inputs just freed, racing the very
+  // everything cached is flushed. Under a nonzero budget the merged output
+  // always goes to disk — external-sort semantics: re-caching it would have
+  // to re-acquire the store pool the inputs just freed, racing the very
   // producers the spill is meant to unblock.
   const bool pressure = under_pressure();
   const bool too_many_cached =
@@ -215,12 +210,9 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
       in_stored += r.stored_bytes();
       in_raw += r.raw_bytes;
     }
-    sim::Resource::Hold scratch;
-    if (mem_ != nullptr) {
-      scratch = co_await mem_->acquire(
-          MemoryGovernor::Pool::kMerge,
-          (cached.size() + 1) * kMergeIoBufferBytes);
-    }
+    sim::Resource::Hold scratch = co_await mem_.acquire(
+        MemoryGovernor::Pool::kMerge,
+        (cached.size() + 1) * kMergeIoBufferBytes);
     ++merges_;
     merge_fanin_runs_ += cached.size();
     tr.begin(track, trace::Kind::kMerge, merge_name_, sim_.now(),
@@ -242,40 +234,37 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
     tr.end(track, trace::Kind::kMerge, merge_name_, sim_.now());
     holds.clear();  // inputs consumed: free the store pool for producers
     scratch.release();
-    if (pressure || (mem_ != nullptr)) {
+    if (pressure || mem_.bounded()) {
       // Spill to disk to relieve memory pressure.
       ++spills_;
       spill_bytes_ += merged.stored_bytes();
       merge_levels_ = std::max<std::uint64_t>(merge_levels_, 1);
-      if (mem_ != nullptr) {
-        tr.begin(track, trace::Kind::kSpill, spill_name_, sim_.now(),
-                 merged.stored_bytes());
-        co_await node_.disk_stream_write(
-            merged.stored_bytes(),
-            cluster::Node::amortized_seek(merged.stored_bytes()), spill_bw);
-        tr.end(track, trace::Kind::kSpill, spill_name_, sim_.now());
-      } else {
-        tr.instant(track, trace::Kind::kSpill, spill_name_, sim_.now(),
-                   merged.stored_bytes());
-        co_await node_.disk_stream_write(
-            merged.stored_bytes(),
-            cluster::Node::amortized_seek(merged.stored_bytes()));
-      }
+      tr.begin(track, trace::Kind::kSpill, spill_name_, sim_.now(),
+               merged.stored_bytes());
+      co_await node_.disk_stream_write(
+          merged.stored_bytes(),
+          cluster::Node::amortized_seek(merged.stored_bytes()), spill_bw);
+      tr.end(track, trace::Kind::kSpill, spill_name_, sim_.now());
       part.disk.push_back(std::move(merged));
       part.disk_levels.push_back(1);
     } else {
-      // Drain-time consolidation: the merged run stays cached.
-      part.cache_bytes += merged.stored_bytes();
-      cache_bytes_total_ += merged.stored_bytes();
+      // Drain-time consolidation: the merged run stays cached, holding its
+      // bytes like any cached run (an unbounded pool never blocks here).
+      const std::uint64_t bytes = merged.stored_bytes();
+      sim::Resource::Hold hold =
+          co_await mem_.acquire(MemoryGovernor::Pool::kStore, bytes);
+      part.cache_holds.push_back(std::move(hold));
+      part.cache_bytes += bytes;
+      cache_bytes_total_ += bytes;
       part.cache.push_back(std::move(merged));
     }
   }
 
   // Step 2: keep the number of on-disk runs bounded with a multi-way merge.
-  // Ungoverned this is a single full-width merge (the legacy behavior);
-  // governed, the fan-in is capped by the merge-pool budget and repeated
-  // capped merges build a multi-level tree, oldest (lowest-level) runs
-  // first so levels stay balanced.
+  // The fan-in is capped by the merge-pool budget and repeated capped
+  // merges build a multi-level tree, oldest (lowest-level) runs first so
+  // levels stay balanced; with an unbounded pool this is a single
+  // full-width merge.
   const std::size_t limit = effective_max_disk_runs();
   while (part.disk.size() > limit) {
     const std::size_t take = std::min(part.disk.size(), fanin_limit());
@@ -299,12 +288,8 @@ sim::Task<> IntermediateStore::service(int g, trace::TrackRef track) {
       in_stored += r.stored_bytes();
       in_raw += r.raw_bytes;
     }
-    sim::Resource::Hold scratch;
-    if (mem_ != nullptr) {
-      scratch = co_await mem_->acquire(
-          MemoryGovernor::Pool::kMerge,
-          (take + 1) * kMergeIoBufferBytes);
-    }
+    sim::Resource::Hold scratch = co_await mem_.acquire(
+        MemoryGovernor::Pool::kMerge, (take + 1) * kMergeIoBufferBytes);
     // As in step 1, the charge is size-determined: overlap the real merge
     // with the simulated disk read + cpu charges.
     auto merging = sim_.offload([&inputs] { return merge_runs(inputs, true); });

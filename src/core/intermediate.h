@@ -7,15 +7,17 @@
 // so the number of intermediate files stays below a configurable count.
 // All runs are serialized and compressed.
 //
-// With a MemoryGovernor attached (JobConfig::node_memory_bytes > 0) the
-// store becomes a budgeted external sorter: producers block on the store
-// pool before caching a run, pressure spills always go to disk, and the
-// on-disk runs are consolidated by a multi-level merge tree whose fan-in is
-// computed from the merge-pool budget (fan_in = merge_pool / 256 KiB merge
-// i/o buffer - 1, floor 2). Each disk run carries its merge
-// level; the deepest level produced is the merge_levels metric. Without a
-// governor every path below reduces to the legacy unbounded-memory
-// behavior, byte-identically.
+// Every cached run holds its bytes in the node's MemoryGovernor store pool,
+// and every merge holds its i/o buffers in the merge pool. Under a nonzero
+// budget (JobConfig::node_memory_bytes) the store is a budgeted external
+// sorter: producers block on the store pool before caching a run, every
+// merged cache spills to disk, and the on-disk runs are consolidated by a
+// multi-level merge tree whose fan-in is computed from the merge-pool
+// budget (fan_in = merge_pool / 256 KiB merge i/o buffer - 1, floor 2).
+// Each disk run carries its merge level; the deepest level produced is the
+// merge_levels metric. Budget 0 makes the pools unbounded: the cache
+// threshold and max_disk_runs alone decide flushes and merge width, and a
+// drain-time merge stays cached.
 //
 // The store also measures the paper's *merge delay* metric: the time spent
 // finishing merges after the map phase completes and before reduction can
@@ -39,19 +41,19 @@ class IntermediateStore {
  public:
   // `node` hosts the store. Partitions are keyed by GLOBAL partition id, so
   // a store can absorb partitions reassigned from a crashed node; in a
-  // failure-free job a node only ever sees the P ids it owns. `mem` may be
-  // null (ungoverned legacy mode).
+  // failure-free job a node only ever sees the P ids it owns. `mem` is the
+  // node's governor (budget 0 = unbounded pools).
   IntermediateStore(cluster::Node& node, sim::Simulation& sim,
-                    const JobConfig& config, MemoryGovernor* mem = nullptr);
+                    const JobConfig& config, MemoryGovernor& mem);
   ~IntermediateStore();
 
   int local_partitions() const { return local_partitions_; }
 
   // Adds a run to global partition `g`; called by the partitioner threads
   // (local data) and the shuffle receiver (remote data). May trigger cache
-  // flushes. Ungoverned, this completes without suspending (merging is
-  // asynchronous); governed, it blocks on the store pool until the run's
-  // bytes fit — the producer-side backpressure of the external sort.
+  // flushes. It blocks on the store pool until the run's bytes fit — the
+  // producer-side backpressure of the external sort; with unbounded pools
+  // it completes without suspending (merging is asynchronous).
   //
   // `tags` are the dedup tags of the run's producers: one split tag for a
   // map run, the union of its inputs' tags for a hierarchically combined
@@ -75,9 +77,8 @@ class IntermediateStore {
   void start_mergers();
 
   // Called once map+shuffle input is complete: consolidates every partition
-  // to at most max_disk_runs (governed: also at most the budget fan-in)
-  // runs, then stops the merger threads. The elapsed time of this call is
-  // the merge delay.
+  // to at most min(max_disk_runs, fanin_limit()) runs, then stops the
+  // merger threads. The elapsed time of this call is the merge delay.
   sim::Task<> drain();
 
   // Re-arms a drained store for a crash-recovery round: fresh work channel
@@ -87,12 +88,13 @@ class IntermediateStore {
   void reopen();
 
   // Hands out a partition's final runs (cache + disk) for the reduce input
-  // reader, releasing any store-pool holds on the cached part. `disk_bytes`
+  // reader, releasing the store-pool holds on the cached part. `disk_bytes`
   // returns how many stored bytes must be read from disk. Only valid after
   // drain(). Unknown ids yield an empty vector.
   std::vector<Run> take_partition(int g, std::uint64_t* disk_bytes);
 
-  // Budget-derived fan-in cap for disk merges (SIZE_MAX when ungoverned).
+  // Merge-pool-derived fan-in cap for disk merges (beyond any run count
+  // with unbounded pools).
   std::size_t fanin_limit() const;
 
   // Metrics.
@@ -111,7 +113,7 @@ class IntermediateStore {
  private:
   struct Part {
     std::vector<Run> cache;
-    // Governed: store-pool hold per cached run (parallel to `cache`).
+    // Store-pool hold per cached run (parallel to `cache`).
     std::vector<sim::Resource::Hold> cache_holds;
     std::vector<Run> disk;
     std::vector<int> disk_levels;  // merge level per disk run (parallel)
@@ -145,7 +147,7 @@ class IntermediateStore {
   cluster::Node& node_;
   sim::Simulation& sim_;
   const JobConfig& config_;
-  MemoryGovernor* mem_;  // null = ungoverned legacy mode
+  MemoryGovernor& mem_;
   int local_partitions_;
   std::map<int, Part> parts_;  // global partition id -> state (ordered)
   std::uint64_t cache_bytes_total_ = 0;

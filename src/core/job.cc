@@ -67,7 +67,8 @@ struct JobShared {
 
 // Per-node mutable state for one job run.
 struct NodeRun {
-  std::unique_ptr<MemoryGovernor> governor;  // null = ungoverned
+  // The job's own governor; null when the scheduler shares one per node.
+  std::unique_ptr<MemoryGovernor> governor;
   std::unique_ptr<IntermediateStore> store;
   MapMetrics map;
   ReduceMetrics reduce;
@@ -840,19 +841,18 @@ void JobExec::setup() {
   nodes.resize(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
     NodeRun& state = nodes[static_cast<std::size_t>(n)];
-    MemoryGovernor* gov = nullptr;
-    if (!env.governors.empty()) {
-      // Shared-cluster budget: one governor per node across all resident
-      // jobs; the per-job governor stays null (no per-job mem marks).
-      gov = env.governors[static_cast<std::size_t>(n)];
-    } else if (config.governed()) {
+    // A scheduler shares one governor per node across all resident jobs
+    // (no per-job mem marks); otherwise the job budgets each node itself.
+    if (env.governors.empty()) {
       state.governor = std::make_unique<MemoryGovernor>(
           sim, config.node_memory_bytes,
           /*with_combine_pool=*/config.combine_mode != CombineMode::kOff);
-      gov = state.governor.get();
     }
+    MemoryGovernor* gov = state.governor != nullptr
+                              ? state.governor.get()
+                              : env.governors[static_cast<std::size_t>(n)];
     state.store = std::make_unique<IntermediateStore>(platform.node(n), sim,
-                                                      config, gov);
+                                                      config, *gov);
     state.shuffle_done = std::make_unique<sim::Event>(sim);
     state.phase_track = sim.tracer().track(n, scoped("phase"), /*reuse=*/true);
 
@@ -916,7 +916,7 @@ void JobExec::finish_marks() {
   if (config.governed()) {
     // Per-node budget/peak instants (arg = bytes) inside the job span, so
     // trace validators can check budget-respecting peak occupancy. Emitted
-    // only for governed runs: default traces stay byte-identical.
+    // only under a nonzero budget, so unbounded runs' traces carry none.
     const std::int32_t budget_name = sim.tracer().intern("mem.budget");
     const std::int32_t peak_name = sim.tracer().intern("mem.peak");
     for (int n = 0; n < num_nodes; ++n) {

@@ -32,7 +32,7 @@ struct StagedChunk {
   std::vector<std::uint64_t> offsets;  // record start offsets
   InputSplit split;                    // identity, for re-execution
   sim::Resource::Hold in_hold;
-  sim::Resource::Hold mem_hold;   // governed: map-pool bytes for `data`
+  sim::Resource::Hold mem_hold;   // map-input pool bytes for `data`
   sim::Resource::Hold slot_hold;  // elastic: per-job map slot for this task
 };
 
@@ -50,7 +50,7 @@ struct KernelOut {
   MapChunkOutput out;
   InputSplit split;  // identity, for commit + dedup tagging
   sim::Resource::Hold out_hold;
-  sim::Resource::Hold mem_hold;   // governed: map-pool bytes for `out`
+  sim::Resource::Hold mem_hold;   // map-output pool bytes for `out`
   sim::Resource::Hold slot_hold;  // elastic: held until the task completes
 };
 
@@ -223,13 +223,10 @@ sim::Task<> input_stage(Stage& st, NodeContext ctx, SplitScheduler& scheduler,
     }
     if (!split) break;
     auto hold = co_await in_buffers.acquire();
-    sim::Resource::Hold mem_hold;
-    if (ctx.mem != nullptr) {
-      // Admit the staged chunk's bytes against the map-input pool before
-      // reading.
-      mem_hold =
-          co_await ctx.mem->acquire(MemoryGovernor::Pool::kMapIn, split->len);
-    }
+    // Admit the staged chunk's bytes against the map-input pool before
+    // reading.
+    sim::Resource::Hold mem_hold =
+        co_await ctx.mem->acquire(MemoryGovernor::Pool::kMapIn, split->len);
     util::Bytes data;
     std::vector<std::uint64_t> offsets;
     bool split_lost = false;
@@ -385,7 +382,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
       item->mem_hold.release();
     }
     sim::Resource::Hold mem_hold;
-    if (ctx.mem != nullptr && chunk_out.pairs.blob_bytes() > 0) {
+    if (chunk_out.pairs.blob_bytes() > 0) {
       // Collector output bytes live until the partition worker serialized
       // them into runs; charge them to the map-output pool for that window.
       // This pool is distinct from the input pool on purpose: an acquire

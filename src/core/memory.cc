@@ -1,8 +1,7 @@
 #include "core/memory.h"
 
 #include <algorithm>
-
-#include "util/error.h"
+#include <limits>
 
 namespace gw::core {
 
@@ -10,7 +9,13 @@ MemoryGovernor::MemoryGovernor(sim::Simulation& sim,
                                std::uint64_t node_memory_bytes,
                                bool with_combine_pool)
     : sim_(sim), budget_(node_memory_bytes) {
-  GW_CHECK_MSG(node_memory_bytes > 0, "governor needs a nonzero budget");
+  if (!bounded()) {
+    for (auto& pool : pools_) {
+      pool = std::make_unique<sim::Resource>(
+          sim_, std::numeric_limits<std::int64_t>::max());
+    }
+    return;
+  }
   // 20% map-input, 20% map-output, 40% store, the remainder (~20%) merge;
   // every pool gets at least one byte so a degenerate budget still admits
   // work serially. When the combine pool is enabled it takes 10% out of
@@ -66,15 +71,16 @@ bool MemoryGovernor::contended(Pool p) const {
   return pools_[static_cast<std::size_t>(p)]->queue_length() > 0;
 }
 
-sim::Task<sim::Resource::Hold> MemoryGovernor::acquire(Pool p,
-                                                       std::uint64_t bytes) {
+MemoryGovernor::Acquire MemoryGovernor::acquire(Pool p, std::uint64_t bytes) {
   sim::Resource& pool = *pools_[static_cast<std::size_t>(p)];
-  const std::int64_t n = clamp(p, bytes);
-  const double t0 = sim_.now();
-  sim::Resource::Hold hold = co_await pool.acquire(n);
-  stall_seconds_ += sim_.now() - t0;
-  note_occupancy();
-  co_return hold;
+  return Acquire(this, pool.acquire(clamp(p, bytes)), sim_.now());
+}
+
+sim::Resource::Hold MemoryGovernor::Acquire::await_resume() {
+  sim::Resource::Hold hold = pool_.await_resume();
+  gov_->stall_seconds_ += gov_->sim_.now() - t0_;
+  gov_->note_occupancy();
+  return hold;
 }
 
 void MemoryGovernor::note_occupancy() {

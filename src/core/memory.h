@@ -21,14 +21,16 @@
 // occupancy, rather than deadlocking. This models "one buffer can always be
 // processed, but nothing else runs beside it".
 //
-// A null governor (node_memory_bytes == 0) disables all of this; callers
-// skip their acquires and the legacy unbounded-memory data path runs
-// byte-identically to previous releases.
+// Every node of every job has a governor. Budget 0 (node_memory_bytes ==
+// 0) makes every pool unbounded: no acquire ever blocks, but holds still
+// count toward peak_bytes().
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/sim.h"
 
@@ -55,13 +57,33 @@ class MemoryGovernor {
                  bool with_combine_pool = false);
 
   std::uint64_t budget_bytes() const { return budget_; }
+  // False for budget 0, whose pools are all unbounded.
+  bool bounded() const { return budget_ > 0; }
   std::uint64_t pool_budget(Pool p) const;
   std::uint64_t pool_in_use(Pool p) const;
 
-  // Clamps `bytes` to [1, pool_budget(p)] and acquires that many units,
-  // blocking on the simulated clock while the pool is exhausted. The
-  // returned Hold releases on destruction (or explicitly via release()).
-  sim::Task<sim::Resource::Hold> acquire(Pool p, std::uint64_t bytes);
+  // Awaiting acquire(p, bytes) clamps `bytes` to [1, pool_budget(p)] and
+  // acquires that many units, blocking on the simulated clock while the pool
+  // is exhausted. It yields a Hold that releases on destruction (or
+  // explicitly via release()). A plain awaiter, not a coroutine: an acquire
+  // that does not block completes inline and allocates nothing.
+  class Acquire {
+   public:
+    bool await_ready() { return pool_.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { pool_.await_suspend(h); }
+    sim::Resource::Hold await_resume();
+
+   private:
+    friend class MemoryGovernor;
+    using PoolAwaiter =
+        decltype(std::declval<sim::Resource&>().acquire(std::int64_t{1}));
+    Acquire(MemoryGovernor* gov, PoolAwaiter pool, double t0)
+        : gov_(gov), pool_(pool), t0_(t0) {}
+    MemoryGovernor* gov_;
+    PoolAwaiter pool_;
+    double t0_;  // when the acquire was issued, for stall accounting
+  };
+  Acquire acquire(Pool p, std::uint64_t bytes);
 
   // Whether an acquire(p, bytes) would complete without blocking.
   bool fits(Pool p, std::uint64_t bytes) const;

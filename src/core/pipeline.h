@@ -180,7 +180,8 @@ struct NodeContext {
   dfs::FileSystem* fs = nullptr;
   cl::Device* device = nullptr;
   IntermediateStore* store = nullptr;
-  // Per-node memory governor; null = ungoverned (legacy unbounded buffers).
+  // The node's memory governor; never null in a running job (budget 0 =
+  // unbounded pools).
   MemoryGovernor* mem = nullptr;
   const JobConfig* config = nullptr;
   const AppKernels* app = nullptr;

@@ -50,8 +50,9 @@ struct ReducedChunk {
   sim::Resource::Hold out_hold;
 };
 
-// Governed reduce input: the merged partition plus the merge-pool hold that
-// accounts for it, kept alive exactly as long as chunks still view the run.
+// A partition's final merge: the merged run plus the merge-pool hold that
+// accounts for its inputs, scratch and output, kept alive exactly as long
+// as the run is still viewed.
 struct BackingRun {
   BackingRun(Run run_in, sim::Resource::Hold hold_in)
       : run(std::move(run_in)), hold(std::move(hold_in)) {}
@@ -86,86 +87,76 @@ class GroupPairEmitter : public ReduceEmitter {
   cl::KernelCounters* c_;
 };
 
+// Reading and merging a partition's stored runs: `disk_bytes` from disk,
+// then decompressing `in_stored` and merging `in_raw` bytes.
+sim::Task<> charge_final_merge(cluster::Node& node, const HostCosts& h,
+                               std::uint64_t disk_bytes,
+                               std::uint64_t in_stored, std::uint64_t in_raw) {
+  if (disk_bytes > 0) {
+    co_await node.disk_stream_read(disk_bytes,
+                                   cluster::Node::amortized_seek(disk_bytes));
+  }
+  co_await node.cpu_work(static_cast<double>(in_stored) /
+                             h.decompress_bytes_per_s +
+                         static_cast<double>(in_raw) / h.merge_bytes_per_s);
+}
+
+// Takes global partition `p`'s runs out of the store and merges them into
+// one uncompressed run (§III-C input stage); null when the store holds
+// nothing for `p`.
+sim::Task<std::shared_ptr<BackingRun>> final_merge(Stage& st, NodeContext ctx,
+                                                   int p, ReduceMetrics& m) {
+  std::uint64_t disk_bytes = 0;
+  std::vector<Run> runs = ctx.store->take_partition(p, &disk_bytes);
+  if (runs.empty()) co_return nullptr;
+  Stage::BusyScope scope(st);
+  std::uint64_t in_stored = 0, in_raw = 0;
+  for (const Run& r : runs) {
+    in_stored += r.stored_bytes();
+    in_raw += r.raw_bytes;
+  }
+  sim::Resource::Hold hold = co_await ctx.mem->acquire(
+      MemoryGovernor::Pool::kMerge, in_stored + in_raw);
+  // The decompress+merge charge depends only on the input run sizes, so the
+  // real merge overlaps the simulated disk + cpu charges on the host pool.
+  // Stored runs are always compressed, so even a single run is merged.
+  auto merging =
+      ctx.sim().offload([&runs] { return merge_runs(runs, false); });
+  const HostCosts& h = ctx.config->host;
+  co_await charge_final_merge(*ctx.node, h, disk_bytes, in_stored, in_raw);
+  Run merged = co_await ctx.sim().join(std::move(merging));
+
+  // Fault injection (§III-E), reduce side: the first attempt of every Nth
+  // reduce partition — 1-based over global ids, mirroring the map side —
+  // fails after its final merge ran. The stored runs were already consumed
+  // and the merge is deterministic, so re-execution re-charges the same
+  // disk and cpu time and reuses the identical merged bytes. There is no
+  // attempt loop: one injection per partition, so a retry can never
+  // re-fail by construction.
+  const int every = ctx.config->fail_every_nth_reduce_task;
+  if (every > 0 && (p + 1) % every == 0) {
+    ++m.task_failures;
+    st.instant(trace::Kind::kRetry, st.span_name("retry"),
+               static_cast<std::uint64_t>(p));
+    co_await charge_final_merge(*ctx.node, h, disk_bytes, in_stored, in_raw);
+  }
+  co_return std::make_shared<BackingRun>(std::move(merged), std::move(hold));
+}
+
 sim::Task<> input_stage(Stage& st, NodeContext ctx, std::vector<int> partitions,
                         sim::Resource& in_buffers,
                         sim::Channel<ReduceChunk>& out, ReduceMetrics& m) {
   const JobConfig& cfg = *ctx.config;
-  const std::int32_t retry_name = st.span_name("retry");
   for (int p : partitions) {
     // A crashed node initiates no further reduce tasks; the partition in
     // flight completes (in-flight work finishes, §III-E crash semantics).
     if (!ctx.self_live()) break;
-    std::uint64_t disk_bytes = 0;
-    std::vector<Run> runs = ctx.store->take_partition(p, &disk_bytes);
-    if (runs.empty()) continue;
-
-    std::shared_ptr<Run> backing;
-    {
-      Stage::BusyScope scope(st);
-      std::uint64_t in_stored = 0, in_raw = 0;
-      for (const Run& r : runs) {
-        in_stored += r.stored_bytes();
-        in_raw += r.raw_bytes;
-      }
-      // Governed: the merge inputs, decompression scratch and merged output
-      // are charged to the merge pool until the last chunk viewing the
-      // merged run is reduced (the hold rides the backing shared_ptr).
-      sim::Resource::Hold mem_hold;
-      if (ctx.mem != nullptr) {
-        mem_hold = co_await ctx.mem->acquire(MemoryGovernor::Pool::kMerge,
-                                             in_stored + in_raw);
-      }
-      // The decompress+merge charge depends only on the input run sizes, so
-      // the real merge overlaps the simulated disk + cpu charges on the
-      // host pool.
-      const bool trivial = runs.size() == 1 && !runs.front().compressed;
-      util::Future<Run> merging;
-      if (!trivial) {
-        merging = ctx.sim().offload([&runs] { return merge_runs(runs, false); });
-      }
-      if (disk_bytes > 0) {
-        co_await ctx.node->disk_stream_read(
-            disk_bytes, cluster::Node::amortized_seek(disk_bytes));
-      }
-      const HostCosts& h = cfg.host;
-      co_await ctx.node->cpu_work(
-          static_cast<double>(in_stored) / h.decompress_bytes_per_s +
-          static_cast<double>(in_raw) / h.merge_bytes_per_s);
-      Run merged;
-      if (trivial) {
-        merged = std::move(runs.front());
-      } else {
-        merged = co_await ctx.sim().join(std::move(merging));
-      }
-
-      // Fault injection (§III-E), reduce side: the first attempt of every
-      // Nth reduce partition — 1-based over global ids, mirroring the map
-      // side — fails after its final merge ran. The stored runs were
-      // already consumed and the merge is deterministic, so re-execution
-      // re-charges the same disk and cpu time and reuses the identical
-      // merged bytes. There is no attempt loop: one injection per
-      // partition, so a retry can never re-fail by construction.
-      const int every = cfg.fail_every_nth_reduce_task;
-      if (every > 0 && (p + 1) % every == 0) {
-        ++m.task_failures;
-        st.instant(trace::Kind::kRetry, retry_name,
-                   static_cast<std::uint64_t>(p));
-        if (disk_bytes > 0) {
-          co_await ctx.node->disk_stream_read(
-              disk_bytes, cluster::Node::amortized_seek(disk_bytes));
-        }
-        co_await ctx.node->cpu_work(
-            static_cast<double>(in_stored) / h.decompress_bytes_per_s +
-            static_cast<double>(in_raw) / h.merge_bytes_per_s);
-      }
-      if (ctx.mem != nullptr) {
-        auto owner = std::make_shared<BackingRun>(std::move(merged),
-                                                  std::move(mem_hold));
-        backing = std::shared_ptr<Run>(owner, &owner->run);
-      } else {
-        backing = std::make_shared<Run>(std::move(merged));
-      }
-    }
+    const std::shared_ptr<BackingRun> merged =
+        co_await final_merge(st, ctx, p, m);
+    if (merged == nullptr) continue;
+    // The merge-pool hold rides `backing` until the last chunk viewing the
+    // merged run is reduced.
+    const std::shared_ptr<Run> backing(merged, &merged->run);
 
     // Group consecutive equal keys and slice into chunks.
     RunReader reader(*backing);
@@ -421,66 +412,20 @@ sim::Task<> output_stage(Stage& st, NodeContext ctx,
 // final output (§IV-A1).
 sim::Task<> merge_only_reduce(Stage& st, NodeContext ctx,
                               std::vector<int> partitions, ReduceMetrics& m) {
-  const JobConfig& cfg = *ctx.config;
-  const std::int32_t retry_name = st.span_name("retry");
   for (int p : partitions) {
     if (!ctx.self_live()) break;  // as in input_stage
-    std::uint64_t disk_bytes = 0;
-    std::vector<Run> runs = ctx.store->take_partition(p, &disk_bytes);
-    if (runs.empty()) continue;
+    std::shared_ptr<BackingRun> merged = co_await final_merge(st, ctx, p, m);
+    if (merged == nullptr) continue;
+    // The merged run is uncompressed and shares our pair framing: its
+    // payload can be appended to the output builder wholesale.
     RunBuilder builder;
-    {
-      Stage::BusyScope scope(st);
-      std::uint64_t in_stored = 0, in_raw = 0;
-      for (const Run& r : runs) {
-        in_stored += r.stored_bytes();
-        in_raw += r.raw_bytes;
-      }
-      // Governed: merge inputs + scratch + output against the merge pool
-      // for the duration of this partition's merge-and-append.
-      sim::Resource::Hold mem_hold;
-      if (ctx.mem != nullptr) {
-        mem_hold = co_await ctx.mem->acquire(MemoryGovernor::Pool::kMerge,
-                                             in_stored + in_raw);
-      }
-      // As in input_stage: the merge charge is size-determined, so the real
-      // merge overlaps the simulated disk + cpu charges.
-      auto merging =
-          ctx.sim().offload([&runs] { return merge_runs(runs, false); });
-      if (disk_bytes > 0) {
-        co_await ctx.node->disk_stream_read(
-            disk_bytes, cluster::Node::amortized_seek(disk_bytes));
-      }
-      const HostCosts& h = cfg.host;
-      co_await ctx.node->cpu_work(
-          static_cast<double>(in_stored) / h.decompress_bytes_per_s +
-          static_cast<double>(in_raw) / h.merge_bytes_per_s);
-      Run merged = co_await ctx.sim().join(std::move(merging));
-      // Reduce-side fault injection: identical semantics to input_stage
-      // (first attempt of every Nth global partition re-charges its merge).
-      const int every = cfg.fail_every_nth_reduce_task;
-      if (every > 0 && (p + 1) % every == 0) {
-        ++m.task_failures;
-        st.instant(trace::Kind::kRetry, retry_name,
-                   static_cast<std::uint64_t>(p));
-        if (disk_bytes > 0) {
-          co_await ctx.node->disk_stream_read(
-              disk_bytes, cluster::Node::amortized_seek(disk_bytes));
-        }
-        co_await ctx.node->cpu_work(
-            static_cast<double>(in_stored) / h.decompress_bytes_per_s +
-            static_cast<double>(in_raw) / h.merge_bytes_per_s);
-      }
-      // The merged run is uncompressed and shares our pair framing: its
-      // payload can be appended to the output builder wholesale.
-      builder.add_encoded(
-          std::string_view(reinterpret_cast<const char*>(merged.data.data()),
-                           merged.data.size()),
-          merged.pairs);
-    }
+    builder.add_encoded(
+        std::string_view(reinterpret_cast<const char*>(merged->run.data.data()),
+                         merged->run.data.size()),
+        merged->run.pairs);
+    merged.reset();  // frees the run and its merge-pool hold
     co_await write_output(st, ctx, p, std::move(builder), m);
   }
-  co_return;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "core/collector.h"
 #include "core/intermediate.h"
+#include "core/memory.h"
 #include "core/pipeline.h"
 #include "gwdfs/fs.h"
 #include "util/hash.h"
@@ -260,7 +261,8 @@ JobConfig store_config() {
 TEST(IntermediateStore, RoundTripsAllData) {
   Platform p = make_platform();
   JobConfig cfg = store_config();
-  IntermediateStore store(p.node(0), p.sim(), cfg);
+  MemoryGovernor mem(p.sim(), 0);  // unbounded
+  IntermediateStore store(p.node(0), p.sim(), cfg, mem);
   store.start_mergers();
   for (int r = 0; r < 20; ++r) {
     p.sim().spawn(store.add_run(r % 4, make_run("a" + std::to_string(r) + "-", 50)));
@@ -285,7 +287,8 @@ TEST(IntermediateStore, DrainConsolidatesRunCount) {
   Platform p = make_platform();
   JobConfig cfg = store_config();
   cfg.cache_threshold_bytes = 1 << 30;  // never spill
-  IntermediateStore store(p.node(0), p.sim(), cfg);
+  MemoryGovernor mem(p.sim(), 0);  // unbounded
+  IntermediateStore store(p.node(0), p.sim(), cfg, mem);
   store.start_mergers();
   for (int r = 0; r < 32; ++r) p.sim().spawn(store.add_run(0, make_run("x", 10)));
   p.sim().spawn([](IntermediateStore& s) -> sim::Task<> {
@@ -302,7 +305,8 @@ TEST(IntermediateStore, DrainConsolidatesRunCount) {
 TEST(IntermediateStore, MergedRunsStaySorted) {
   Platform p = make_platform();
   JobConfig cfg = store_config();
-  IntermediateStore store(p.node(0), p.sim(), cfg);
+  MemoryGovernor mem(p.sim(), 0);  // unbounded
+  IntermediateStore store(p.node(0), p.sim(), cfg, mem);
   store.start_mergers();
   util::Rng rng(31);
   std::uint64_t expected = 0;
@@ -361,7 +365,8 @@ TEST(IntermediateStore, RepeatedSingletonTagIsDroppedAndCounted) {
   Platform p = make_platform();
   JobConfig cfg = store_config();
   cfg.cache_threshold_bytes = 1 << 30;
-  IntermediateStore store(p.node(0), p.sim(), cfg);
+  MemoryGovernor mem(p.sim(), 0);  // unbounded
+  IntermediateStore store(p.node(0), p.sim(), cfg, mem);
   store.start_mergers();
   add_tagged(p, store, 0, make_run("a", 10), {7});
   add_tagged(p, store, 0, make_run("a", 10), {7});  // a re-execution
@@ -389,7 +394,8 @@ TEST(IntermediateStore, CombinedRunShadowsSingletonRefeeds) {
   Platform p = make_platform();
   JobConfig cfg = store_config();
   cfg.cache_threshold_bytes = 1 << 30;
-  IntermediateStore store(p.node(0), p.sim(), cfg);
+  MemoryGovernor mem(p.sim(), 0);  // unbounded
+  IntermediateStore store(p.node(0), p.sim(), cfg, mem);
   store.start_mergers();
   // A combined run carries the union of its producers' tags; re-feeds of
   // any producer's own run (ledger replay, re-execution) are duplicates.
@@ -419,7 +425,8 @@ TEST(IntermediateStoreDeathTest, PartialTagOverlapAborts) {
       {
         Platform p = make_platform();
         JobConfig cfg = store_config();
-        IntermediateStore store(p.node(0), p.sim(), cfg);
+        MemoryGovernor mem(p.sim(), 0);  // unbounded
+        IntermediateStore store(p.node(0), p.sim(), cfg, mem);
         add_tagged(p, store, 0, make_run("a", 10), {1});
         // A second grouping that includes producer 1's output again.
         add_tagged(p, store, 0, make_run("ab", 20), {1, 2});

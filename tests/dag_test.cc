@@ -3,7 +3,8 @@
 // identity across edge kinds (checkpoint vs pinned) and GW_THREADS, the
 // crash matrix {round-0 map, inter-round edge, last-round reduce} with
 // recovery scoped to the crashed round when edges are checkpointed, pin
-// budget spill-through, and the fixed-point loop predicate.
+// budget spill-through, a node crash inside a k-means iteration, and the
+// fixed-point loop predicate.
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -304,6 +305,66 @@ TEST(DagCrash, MatrixByteIdenticalAcrossEdgesAndThreads) {
     }
   }
   util::ThreadPool::reset_global(0);
+}
+
+// ---------- k-means crash ----------
+
+// Node 2 dies 1 ms into k-means iteration 1 of 3. Recovery must count
+// every point exactly once in every iteration and reach the failure-free
+// run's final centers, to float summation order.
+TEST(KmeansDagCrash, NodeKilledInRoundOneMatchesClean) {
+  const KmeansConfig km{.k = 16, .dims = 4};
+  constexpr std::uint64_t kPoints = 40000;
+  constexpr int kIters = 3;
+  const util::Bytes points = generate_points(km, kPoints, 11);
+  const std::vector<float> initial = generate_centers(km, 12);
+
+  struct Outcome {
+    KmeansDagResult dr;
+    std::vector<std::uint64_t> counted;  // points counted per round
+  };
+  auto run = [&](std::vector<core::DagConfig::RoundCrash> crashes) {
+    Platform p = make_platform(kNodes);
+    dfs::Dfs fs(p, dfs::DfsConfig{});
+    write_file(p, fs, "/in/points", points);
+    core::GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
+    core::JobConfig base;
+    base.split_size = 32 << 10;
+    Outcome out;
+    out.dr = kmeans_dag(rt, p, fs, km, initial, "/in/points", "/out/km",
+                        kIters, base, core::EdgeKind::kCheckpoint,
+                        /*pin_inputs=*/false, /*pin_budget_bytes=*/0,
+                        std::move(crashes));
+    for (const auto& r : out.dr.dag.rounds) {
+      std::uint64_t counted = 0;
+      for (const auto& path : r.outputs) {
+        for (const auto& [key, value] :
+             core::read_output_file(read_file(p, fs, path))) {
+          counted += get_be32(std::string_view(value).substr(
+              static_cast<std::size_t>(km.dims) * 4));
+        }
+      }
+      out.counted.push_back(counted);
+    }
+    return out;
+  };
+
+  const Outcome clean = run({});
+  const Outcome crashed = run({{1, {.node = 2, .time = 1e-3}}});
+  ASSERT_EQ(crashed.dr.dag.rounds.size(), static_cast<std::size_t>(kIters));
+  EXPECT_GT(crashed.dr.dag.rounds[1].job.stats.tasks_reexecuted, 0u);
+  EXPECT_EQ(clean.counted, std::vector<std::uint64_t>(kIters, kPoints));
+  EXPECT_EQ(crashed.counted, std::vector<std::uint64_t>(kIters, kPoints));
+  EXPECT_EQ(crashed.dr.iterations.counts, clean.dr.iterations.counts);
+  // Recovery feeds the reduce its partial sums in another order, and the
+  // reduce adds floats in arrival order: the final centers agree to
+  // perfbench's 0.01 tolerance, not bit for bit.
+  const std::vector<float>& want = clean.dr.iterations.centers;
+  const std::vector<float>& got = crashed.dr.iterations.centers;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 0.01) << "coordinate " << i;
+  }
 }
 
 // ---------- pin budget ----------

@@ -229,8 +229,10 @@ TEST(KmeansIterate, ConvergesTowardClusterMeans) {
   core::GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
   core::JobConfig base;
   base.split_size = 64 << 10;
-  auto result = apps::kmeans_iterate(rt, p, fs, km, initial, "/in/points",
-                                     "/out/km", 4, base);
+  const apps::KmeansIterations result =
+      apps::kmeans_dag(rt, p, fs, km, initial, "/in/points", "/out/km", 4,
+                       base)
+          .iterations;
   ASSERT_EQ(result.iterations, 4);
   EXPECT_GT(result.total_elapsed_seconds, 0.0);
   // Every final center within the noise radius of a true center.
