@@ -27,6 +27,7 @@
 #include "baselines/hadoop/hadoop.h"
 #include "core/job.h"
 #include "core/report.h"
+#include "util/hash.h"
 
 using namespace gw;
 
@@ -220,6 +221,32 @@ bool export_trace(const Flags& flags, cluster::Platform& platform) {
   return true;
 }
 
+// Ends every successful run: exports the trace, then prints one digest of
+// the path and bytes of every file left in the DFS (inputs, outputs and
+// intermediates). The bytes are read on the host, so no simulated time and
+// no trace event moves. Returns gwrun's exit code.
+int finish(const Flags& flags, cluster::Platform& platform,
+           const dfs::Dfs& fs) {
+  if (!export_trace(flags, platform)) return 1;
+  std::uint64_t files = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t digest = util::fnv1a("");
+  for (const std::string& path : fs.list("")) {
+    const util::Bytes& data = fs.host_bytes(path);
+    const std::uint64_t size = data.size();
+    digest = util::fnv1a(path.c_str(), path.size() + 1, digest);
+    digest = util::fnv1a(&size, sizeof(size), digest);
+    digest = util::fnv1a(data.data(), data.size(), digest);
+    ++files;
+    bytes += size;
+  }
+  std::printf("outputs: files=%llu bytes=%llu fnv=%016llx\n",
+              static_cast<unsigned long long>(files),
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(digest));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -390,8 +417,11 @@ int main(int argc, char** argv) {
                   t.jobs_finished, t.service_s, t.wait_s);
     }
     core::print_sched_line(sched, sc.policy, makespan);
-    if (!export_trace(flags, platform)) return 1;
-    return sched.jobs_failed() == 0 ? 0 : 1;
+    if (sched.jobs_failed() > 0) {
+      export_trace(flags, platform);
+      return 1;
+    }
+    return finish(flags, platform, fs);
   }
 
   platform.sim().spawn([](dfs::Dfs& f, util::Bytes data) -> sim::Task<> {
@@ -480,7 +510,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.net_dfs_bytes),
                   static_cast<unsigned long long>(r.net_control_bytes));
     }
-    return export_trace(flags, platform) ? 0 : 1;
+    return finish(flags, platform, fs);
   }
 
   core::JobConfig cfg;
@@ -558,7 +588,7 @@ int main(int argc, char** argv) {
       }
       core::print_traffic_split_line("net", agg);
     }
-    return export_trace(flags, platform) ? 0 : 1;
+    return finish(flags, platform, fs);
   }
   core::JobResult r;
   try {
@@ -602,5 +632,5 @@ int main(int argc, char** argv) {
   if (flags.net_report) {
     core::print_traffic_split_line("net", r.stats);
   }
-  return export_trace(flags, platform) ? 0 : 1;
+  return finish(flags, platform, fs);
 }

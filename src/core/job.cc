@@ -590,6 +590,8 @@ void JobExec::setup() {
   GW_CHECK_MSG(static_cast<bool>(app.map), "job needs a map function");
   GW_CHECK_MSG(!config.input_paths.empty(), "job needs input paths");
   GW_CHECK_MSG(!config.output_path.empty(), "job needs an output path");
+  GW_CHECK_MSG(config.partitions_per_node >= 1,
+               "job needs at least one partition per node");
 
   if (!app.partition) {
     app.partition = default_hash_partitioner();

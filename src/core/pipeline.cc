@@ -145,6 +145,10 @@ std::uint64_t send_run(const NodeContext& ctx, sim::TaskGroup& sends, int dst,
   util::Bytes frame =
       std::move(run).take_serialized(static_cast<std::uint32_t>(g));
   const std::uint64_t bytes = frame.size();
+  // A node the job counts as failed stays out of the job even after a
+  // restart revives it: its zombie pipeline's sends are dropped, as a dead
+  // node's would be, so none lands in an inbox whose receiver has closed.
+  if (ctx.failed_nodes != nullptr && !ctx.self_live()) return bytes;
   sends.spawn(ctx.platform->transport().send_or_drop(
       ctx.node_id, dst, port, tc, std::move(frame), std::move(tags)));
   return bytes;

@@ -259,7 +259,8 @@ struct NodeContext {
 // dedup tags of the run's producers — ride out-of-band on the delivered
 // net::Message, so they cost no wire bytes. The send tolerates a node crash
 // racing the transfer (Transport::send_or_drop): recovery regenerates or
-// re-sends the data if it mattered. Callers that keep the run pass a copy.
+// re-sends the data if it mattered. A node the job counts as failed sends
+// nothing, even once restarted. Callers that keep the run pass a copy.
 std::uint64_t send_run(const NodeContext& ctx, sim::TaskGroup& sends, int dst,
                        int port, net::TrafficClass tc, int g, Run run,
                        std::vector<std::uint64_t> tags);

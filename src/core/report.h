@@ -1,7 +1,7 @@
 // Shared human-readable report lines for finished jobs, used by the gwrun
 // CLI and the bench drivers so every front-end prints the same
-// grep-stable formats. The exact strings are load-bearing: the *Smoke
-// ctests (tests/*_smoke.py) parse these lines.
+// grep-stable formats. The exact strings are load-bearing: the Golden
+// ctests (tests/golden/) pin them byte for byte and assert on some.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +60,7 @@ inline void print_combine_line(const JobStats& s) {
 }
 
 // Multi-round DAG summary: executed/replayed round counts and what the
-// pinned intermediate store held and saved. DagSmoke parses this line.
+// pinned intermediate store held and saved. Golden rows assert on it.
 inline void print_dag_line(const DagResult& r) {
   std::printf(
       "dag: rounds=%zu executed=%d replays=%d pinned_peak=%.1fMiB "
@@ -86,8 +86,8 @@ inline double sched_latency_quantile(const std::vector<ScheduledJob>& jobs,
   return lat[idx];
 }
 
-// Multi-tenant scheduler summary. SchedSmoke parses "sched:"; keep the
-// format stable.
+// Multi-tenant scheduler summary. Golden rows assert on "sched:"; keep
+// the format stable.
 inline void print_sched_line(const Scheduler& s, SchedPolicy policy,
                              double makespan_s) {
   int finished = 0;

@@ -373,7 +373,7 @@ sim::Task<void> Scheduler::run_job(int id) {
   env.port_base = net::kPortJobStride * (window + 1);
   // The trace scope stays keyed by JOB id (not window): a resumed job
   // reopens spans on the same labeled track across residencies.
-  env.trace_scope = "j" + std::to_string(id) + ".";
+  env.trace_scope = std::string("j").append(std::to_string(id)).append(".");
   // If ANY tenant injects node crashes, a neighbour's crash can reach
   // every job sharing the cluster, so each one arms its durable-output
   // ledger (submissions are all registered before run_all, so

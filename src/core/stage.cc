@@ -29,7 +29,7 @@ Stage& StageGraph::make_stage(const std::string& label, int worker,
                               int workers, int node) {
   const std::string full = name_ + "." + label;
   std::string track_label = full;
-  if (workers > 1) track_label += "/" + std::to_string(worker);
+  if (workers > 1) track_label.append("/").append(std::to_string(worker));
   trace::Tracer& tr = sim_->tracer();
   stages_.emplace_back(Stage(this, sim_, tr.intern(full), worker, node,
                              tr.track(node, track_label)));

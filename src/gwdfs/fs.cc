@@ -323,6 +323,12 @@ std::uint64_t Dfs::file_size(const std::string& path) const {
   return it->second.data.size();
 }
 
+const util::Bytes& Dfs::host_bytes(const std::string& path) const {
+  auto it = files_.find(path);
+  if (it == files_.end()) util::throw_error("dfs bytes: no such file: " + path);
+  return it->second.data;
+}
+
 std::vector<std::string> Dfs::list(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& [path, meta] : files_) {

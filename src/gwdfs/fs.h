@@ -104,6 +104,10 @@ class Dfs : public FileSystem {
   std::uint64_t block_size() const override { return config_.block_size; }
   const char* name() const override { return "hdfs"; }
 
+  // The file's bytes, read on the host: no simulated time, no transfer and
+  // no trace event.
+  const util::Bytes& host_bytes(const std::string& path) const;
+
   // Overrides the replication factor for files written after the call
   // (TeraSort output uses replication 1, §IV-A1).
   void set_replication(int replication);

@@ -245,7 +245,8 @@ TEST(HashTableCollector, FinalizeOutputPinnedAcrossReuse) {
 gw::core::Run make_run(const std::string& prefix, int pairs) {
   RunBuilder rb;
   for (int i = 0; i < pairs; ++i) {
-    rb.add(prefix + std::to_string(i), "v" + std::to_string(i));
+    rb.add(prefix + std::to_string(i),
+           std::string("v").append(std::to_string(i)));
   }
   return rb.finish(true);
 }
@@ -314,7 +315,7 @@ TEST(IntermediateStore, MergedRunsStaySorted) {
     RunBuilder rb;
     std::vector<std::string> keys;
     for (int i = 0; i < 100; ++i) {
-      keys.push_back("k" + std::to_string(rng.below(1000)));
+      keys.push_back(std::string("k").append(std::to_string(rng.below(1000))));
     }
     std::sort(keys.begin(), keys.end());
     for (auto& k : keys) rb.add(k, "v");

@@ -327,5 +327,19 @@ TEST(Job, OutputReplicationOverrideApplies) {
   EXPECT_EQ(f.fs.block_locations(result.output_files[0], 0).size(), 1u);
 }
 
+// Zero partitions per node would leave the hash partitioner dividing by
+// zero; setup refuses the job instead.
+TEST(JobDeathTest, ZeroPartitionsPerNodeIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        JobFixture f(2, 50);
+        f.config.partitions_per_node = 0;
+        GlasswingRuntime rt(f.platform, f.fs, cl::DeviceSpec::cpu_dual_e5620());
+        rt.run(wordcount_app(), f.config);
+      },
+      "at least one partition per node");
+}
+
 }  // namespace
 }  // namespace gw::core

@@ -209,6 +209,32 @@ TEST(FaultMatrix, RestartedNodeDoesNotPerturbOutput) {
   EXPECT_GT(faulty.result.stats.partitions_reassigned, 0u);
 }
 
+// A node that crashes late in the map phase and restarts while its map
+// tasks would still be running stays out of the job: the restarted node's
+// zombie pipeline must send nothing, or its runs land in shuffle inboxes
+// whose receivers have closed and the job aborts in check_quiesced.
+TEST(FaultMatrix, RestartLateInMapPhaseAcrossDelays) {
+  const util::Bytes text = apps::generate_wiki_text(8 << 20, 42);
+  const auto splits_256k = [](core::JobConfig& cfg) {
+    cfg.split_size = 256 << 10;
+  };
+  const RunOutcome clean = run_wc(text, splits_256k);
+  // About 6.5 ms before the map phase ends: node 2 dies with map tasks in
+  // flight, and every delay below revives it before they would finish.
+  const double when = 0.775 * clean.result.map_phase_seconds;
+  for (const double delay : {1e-3, 5e-3, 15e-3}) {
+    SCOPED_TRACE("restart " + std::to_string(delay) + " s after the crash");
+    const RunOutcome faulty = run_wc(text, [&](core::JobConfig& cfg) {
+      splits_256k(cfg);
+      cfg.crash_events.push_back(
+          {.node = 2, .time = when, .restart_time = when + delay});
+    });
+    EXPECT_TRUE(faulty.trace_error.empty()) << faulty.trace_error;
+    EXPECT_EQ(faulty.files, clean.files);
+    EXPECT_GT(faulty.result.stats.tasks_reexecuted, 0u);
+  }
+}
+
 TEST(FaultMatrix, CrashAfterCompletionLeavesResultUntouched) {
   // The job's only crash fires after its last node finished: it must not
   // count toward the job — crash-free elapsed time to the bit, no recovery

@@ -44,7 +44,7 @@ PairList random_pairs(util::Rng& rng, std::size_t n, std::size_t alphabet,
             ? pool[rng.below(pool.size())]
             : random_key(rng, kKeyLengths[rng.below(kKeyLengths.size())],
                          alphabet);
-    const std::string value = "v" + std::to_string(i);
+    const std::string value = std::string("v").append(std::to_string(i));
     out.add(key, value);
   }
   return out;
