@@ -13,7 +13,10 @@
 //   * compress:   lz_compress + lz_decompress roundtrip, and lz_compress
 //                 over many small (512-byte) runs
 //   * collector:  HashTableCollector emits under Zipf key skew, and the
-//                 finalize (combine or compaction) of the collected chunk
+//                 finalize (combine or compaction) of the collected chunk;
+//                 the same emits as a grouped map kernel on 1- and
+//                 2-thread pools (CPU time per emit, so a pool that scales
+//                 badly shows)
 //   * shuffle:    one ~500-byte run from send_run to IntermediateStore::
 //                 add_run on a 64-node platform (time and heap allocations
 //                 per message), and the partition step over one 256 KiB
@@ -30,10 +33,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +56,7 @@
 #include "sim/sim.h"
 #include "util/compress.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 #ifndef GW_BUILD_TYPE
 #define GW_BUILD_TYPE "unknown"
@@ -360,6 +367,71 @@ BENCHMARK(BM_HashCollectorFinalize)
     ->ArgName("combine")
     ->Arg(0)
     ->Arg(1)
+    ->UseRealTime();
+
+// Nanoseconds of CPU time this process has used so far, all threads.
+std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
+
+// The BM_HashCollectorInsert chunk as a map kernel: its 100k emits run
+// through cl::Device::execute_grouped in the 64 fixed work-groups, each
+// group inserting its share of the stream into its own table of a fresh
+// HashTableCollector, on a global pool of `threads` threads (the default
+// pool comes back afterwards). The row's CPU column is the whole process's
+// CPU time per chunk; cpu_ns_per_item is that per emit and cpu_per_real is
+// CPU over wall time. Reading it: with threads:1, cpu_per_real is about 1.
+// With threads:2 it should be near 2; a threads:2 row whose cpu_per_real
+// is near 1 kept only one thread busy at a time (seen on loaded hosts,
+// mostly in a process's first runs), so it says nothing about scaling.
+// Compare cpu_ns_per_item across the two rows only when the threads:2
+// row's ratio is near 2: then equal cpu_ns_per_item means the second
+// thread costs no extra CPU, and a higher value is what cache lines shared
+// between threads cost.
+void BM_GroupedMapChunk(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const ZipfStream& stream = zipf_stream();
+  util::ThreadPool::reset_global(threads);
+  std::optional<core::HashTableCollector> collector;
+  const cl::Device::GroupWorkItemFn emit =
+      [&stream, &collector](std::size_t i, std::size_t group,
+                            cl::KernelCounters& c) {
+        collector->emit(group, stream.vocab[stream.emits[i].second], "1", c);
+      };
+  std::int64_t cpu_ns = 0;
+  std::int64_t real_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    collector.emplace(kCollectorGroups);
+    state.ResumeTiming();
+    const std::int64_t cpu0 = process_cpu_ns();
+    const auto real0 = std::chrono::steady_clock::now();
+    const cl::KernelStats stats =
+        cl::Device::execute_grouped(kInsertPairs, kCollectorGroups, emit);
+    real_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - real0)
+                   .count();
+    cpu_ns += process_cpu_ns() - cpu0;
+    benchmark::DoNotOptimize(stats);
+    state.PauseTiming();
+    collector.reset();
+    state.ResumeTiming();
+  }
+  util::ThreadPool::reset_global(0);
+  const double items = static_cast<double>(state.iterations()) *
+                       static_cast<double>(kInsertPairs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["cpu_ns_per_item"] = static_cast<double>(cpu_ns) / items;
+  state.counters["cpu_per_real"] =
+      static_cast<double>(cpu_ns) / static_cast<double>(real_ns);
+}
+BENCHMARK(BM_GroupedMapChunk)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 // ---- shuffle message and partition step ----

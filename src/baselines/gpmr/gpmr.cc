@@ -10,6 +10,7 @@
 #include "core/pipeline.h"
 #include "core/stage.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace gw::gpmr {
 
@@ -198,7 +199,7 @@ sim::Task<> reduce_phase(core::Stage& st, Shared& sh, GpmrResult& result) {
   });
   co_await device.charge_kernel(sort_stats);
   co_await sh.platform->sim().join(std::move(sorting));
-  std::vector<core::PairList> out_lists(
+  std::vector<util::CacheAligned<core::PairList>> out_lists(
       std::max<std::size_t>(1, std::min<std::size_t>(
                                    cl::Device::kDefaultWorkGroups,
                                    groups.size())));
@@ -222,7 +223,7 @@ sim::Task<> reduce_phase(core::Stage& st, Shared& sh, GpmrResult& result) {
           core::PairList* out_;
           cl::KernelCounters* c_;
         };
-        Emitter emitter(&out_lists[wg], &c);
+        Emitter emitter(&out_lists[wg].value, &c);
         core::ReduceContext ctx{&emitter, &c};
         if (app.reduce.has_value()) {
           (*app.reduce)(g.key, g.values, ctx);
@@ -230,7 +231,8 @@ sim::Task<> reduce_phase(core::Stage& st, Shared& sh, GpmrResult& result) {
           for (auto v : g.values) ctx.emit(g.key, v);
         }
       });
-  for (const auto& pl : out_lists) {
+  for (const auto& slot : out_lists) {
+    const core::PairList& pl = slot.value;
     for (std::size_t e = 0; e < pl.size(); ++e) {
       const core::KV kv = pl.get(e);
       result.output[std::string(kv.key)] = std::string(kv.value);

@@ -220,8 +220,9 @@ struct JobConfig {
   // A crashed node loses its intermediate store and unsent map output; the
   // job re-executes its splits on survivors and reassigns its reduce
   // partitions. restart_time < 0 = no restart (a restarted node comes back
-  // EMPTY and only serves as DFS placement target). A crash that fires
-  // after the job's last node finished does not count toward the job.
+  // EMPTY and only serves as DFS placement target). A crash that has not
+  // fired when the job's last node finishes is cancelled with its restart:
+  // it never fires. A restart whose crash fired still runs after the job.
   // Any crash event arms the job's durable-output ledger.
   struct CrashEvent {
     int node = -1;

@@ -43,7 +43,7 @@ void SharedPoolCollector::emit(std::size_t group, std::string_view key,
   // One atomic bump allocation, then the stores.
   c.charge_atomic(1);
   c.charge_write(key.size() + value.size());
-  per_group_[group].add(key, value);
+  per_group_[group].value.add(key, value);
 }
 
 sim::Task<MapChunkOutput> SharedPoolCollector::finalize(
@@ -53,8 +53,8 @@ sim::Task<MapChunkOutput> SharedPoolCollector::finalize(
                "combiner requires the hash-table collector (as in the paper)");
   MapChunkOutput out;
   for (auto& pl : per_group_) {
-    out.pairs.append(pl);
-    pl.clear();
+    out.pairs.append(pl.value);
+    pl.value.clear();
   }
   out.grouped = false;
   out.distinct_keys = 0;  // unknown without grouping
@@ -121,12 +121,12 @@ HashTableCollector::HashTableCollector(std::size_t groups)
 
 void HashTableCollector::emit(std::size_t group, std::string_view key,
                               std::string_view value, cl::KernelCounters& c) {
-  tables_[group].insert(key, value, c);
+  tables_[group].value.insert(key, value, c);
 }
 
 std::uint64_t HashTableCollector::total_probes() const {
   std::uint64_t total = 0;
-  for (const auto& t : tables_) total += t.probes;
+  for (const auto& t : tables_) total += t.value.probes;
   return total;
 }
 
@@ -164,14 +164,14 @@ cl::KernelStats HashTableCollector::finalize_job(
     std::uint32_t tag = 0;  // high hash bits; the low ones pick the bucket
   };
   std::size_t occupied = 0;
-  for (const Table& t : tables_) occupied += t.used;
+  for (const auto& t : tables_) occupied += t.value.used;
   std::vector<Listed> listed;
   listed.reserve(occupied);
   std::vector<std::string_view> keys;
   std::vector<IndexEntry> index(std::bit_ceil(2 * occupied + 1));
   const std::uint64_t mask = index.size() - 1;
   for (std::uint32_t ti = 0; ti < tables_.size(); ++ti) {
-    const Table& t = tables_[ti];
+    const Table& t = tables_[ti].value;
     for (std::uint32_t si = 0; si < t.slots.size(); ++si) {
       const Table::Slot& s = t.slots[si];
       if (s.key_off == Table::kEmpty) continue;
@@ -205,16 +205,17 @@ cl::KernelStats HashTableCollector::finalize_job(
   // map() in hash-table mode, §IV-B1). Each work-group walks its keys'
   // value chains into its own scratch vector.
   const std::size_t groups = tables_.size();
-  std::vector<PairList> out_groups(groups);
-  std::vector<std::vector<std::string_view>> scratch(groups);
+  std::vector<util::CacheAligned<PairList>> out_groups(groups);
+  std::vector<util::CacheAligned<std::vector<std::string_view>>> scratch(
+      groups);
   const cl::KernelStats post = cl::Device::execute_grouped(
       keys.size(), groups,
       [&](std::size_t k, std::size_t g, cl::KernelCounters& c) {
-        std::vector<std::string_view>& values = scratch[g];
+        std::vector<std::string_view>& values = scratch[g].value;
         values.clear();
         std::uint64_t value_bytes = 0;
         for (std::uint32_t r = start[k]; r < start[k + 1]; ++r) {
-          const Table& t = tables_[refs[r].table];
+          const Table& t = tables_[refs[r].table].value;
           const Table::Slot& s = t.slots[refs[r].slot];
           // Chains are newest-first: fill back to front to restore emit
           // order within the group.
@@ -228,7 +229,7 @@ cl::KernelStats HashTableCollector::finalize_job(
         }
         const std::string_view key = keys[k];
         c.charge_read(key.size() + value_bytes);
-        PairList& pairs = out_groups[g];
+        PairList& pairs = out_groups[g].value;
         if (combine.has_value()) {
           PairListEmitter emitter(&pairs, &c);
           ReduceContext ctx{&emitter, &c};
@@ -240,7 +241,7 @@ cl::KernelStats HashTableCollector::finalize_job(
         }
       });
 
-  for (const PairList& pl : out_groups) out.pairs.append(pl);
+  for (const auto& pl : out_groups) out.pairs.append(pl.value);
   out.distinct_keys = keys.size();
 
   // Reset, keeping heap capacity: clear only the listed slots, then shrink
@@ -249,10 +250,11 @@ cl::KernelStats HashTableCollector::finalize_job(
   // go with the shrink.
   for (const Listed& l : listed) {
     if (l.ref.slot < Table::kInitialSlots) {
-      tables_[l.ref.table].slots[l.ref.slot] = Table::Slot{};
+      tables_[l.ref.table].value.slots[l.ref.slot] = Table::Slot{};
     }
   }
-  for (Table& t : tables_) {
+  for (auto& slot : tables_) {
+    Table& t = slot.value;
     out.hash_probes += t.probes;
     t.slots.resize(Table::kInitialSlots);
     t.blob.clear();

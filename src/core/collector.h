@@ -22,6 +22,7 @@
 #include "core/api.h"
 #include "core/kv.h"
 #include "gwcl/device.h"
+#include "util/thread_pool.h"
 
 namespace gw::core {
 
@@ -82,7 +83,7 @@ class SharedPoolCollector : public MapOutputCollector {
                                      cl::LaunchConfig launch) override;
 
  private:
-  std::vector<PairList> per_group_;
+  std::vector<util::CacheAligned<PairList>> per_group_;
 };
 
 class HashTableCollector : public MapOutputCollector {
@@ -139,7 +140,7 @@ class HashTableCollector : public MapOutputCollector {
   cl::KernelStats finalize_job(const std::optional<CombineFn>& combine,
                                MapChunkOutput& out);
 
-  std::vector<Table> tables_;
+  std::vector<util::CacheAligned<Table>> tables_;
 };
 
 }  // namespace gw::core

@@ -510,6 +510,7 @@ struct JobExec {
   bool resuming = false;              // previous residency was suspended
   bool combine_degraded = false;      // requested combining forced weaker
   int listener_id = -1;
+  std::vector<int> crash_ids;  // this job's config.crash_events, scheduled
   trace::TrackRef job_track;
   std::int32_t job_name = -1;
   std::int32_t round_name = -1;
@@ -820,7 +821,8 @@ void JobExec::setup() {
   for (const auto& e : config.crash_events) {
     GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
                  "crash event names an unknown node");
-    sim.schedule_node_crash(e.node, e.time, e.restart_time);
+    crash_ids.push_back(
+        sim.schedule_node_crash(e.node, e.time, e.restart_time));
   }
 
   // Job-wide span: the root every recovery event must nest inside. DAG
@@ -1198,8 +1200,11 @@ sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
     failed = true;
     failure = e.what();
   }
-  // Every node finished: crashes from here on no longer reach the job.
+  // Every node finished: crashes from here on no longer reach the job, and
+  // the job's own crashes that have not fired yet are withdrawn, restarts
+  // included, so they neither outlive it nor move the clock past its end.
   ex.sim.remove_crash_listener(ex.listener_id);
+  for (int id : ex.crash_ids) ex.sim.cancel_node_crash(id);
   ex.finish_marks();
   // Scoped teardown: only this job's port window is touched, so resident
   // neighbours keep their inboxes and expected-sender records. Data in

@@ -13,6 +13,7 @@
 #include "core/stage.h"
 #include "simnet/transport.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace gw::core {
 
@@ -270,7 +271,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
               : std::max<std::size_t>(
                     1, std::min<std::size_t>(cl::Device::kDefaultWorkGroups,
                                              threads));
-      std::vector<PairList> out_groups(groups);
+      std::vector<util::CacheAligned<PairList>> out_groups(groups);
 
       cl::KernelStats stats = co_await ctx.device->run_kernel_grouped(
           threads, groups,
@@ -315,7 +316,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
                              "sliced reduce must emit exactly one value");
                 scratch[scratch_key] = std::move(slot);
               } else {
-                GroupPairEmitter emitter(&out_groups[g], &c);
+                GroupPairEmitter emitter(&out_groups[g].value, &c);
                 ReduceContext rctx{&emitter, &c};
                 reduce(group.key, *values, rctx);
               }
@@ -323,7 +324,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
           },
           cfg.reduce_launch);
       m.kernel_stats += stats;
-      for (auto& pl : out_groups) result.pairs.append(pl);
+      for (auto& pl : out_groups) result.pairs.append(pl.value);
     }
     // Release promptly (the optional holding it lives until the next recv,
     // which would deadlock a single-buffer pipeline).

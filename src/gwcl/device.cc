@@ -139,12 +139,12 @@ KernelStats Device::execute_grouped(std::size_t items, std::size_t groups,
   // Real execution on the host pool. The group decomposition is fixed, so
   // per-group side effects and counters are independent of how many host
   // threads happen to exist; counter reduction is associative.
-  std::vector<KernelCounters> per_group(groups);
+  std::vector<util::CacheAligned<KernelCounters>> per_group(groups);
   if (items > 0) {
     util::ThreadPool::global().parallel_for(
         0, groups, [&](std::size_t glo, std::size_t ghi, std::size_t) {
           for (std::size_t g = glo; g < ghi; ++g) {
-            KernelCounters& c = per_group[g];
+            KernelCounters& c = per_group[g].value;
             const std::size_t lo = items * g / groups;
             const std::size_t hi = items * (g + 1) / groups;
             for (std::size_t i = lo; i < hi; ++i) {
@@ -155,7 +155,7 @@ KernelStats Device::execute_grouped(std::size_t items, std::size_t groups,
         });
   }
   KernelStats stats;
-  for (const auto& c : per_group) stats += c.stats();
+  for (const auto& c : per_group) stats += c.value.stats();
   return stats;
 }
 

@@ -84,7 +84,8 @@ struct KernelStats {
 };
 
 // Per-work-item counter sink, cheap to update from inner loops. One
-// instance per host-pool chunk; reduced into KernelStats afterwards.
+// instance per work-group, reduced into KernelStats in group order
+// afterwards.
 class KernelCounters {
  public:
   void charge_ops(std::uint64_t n) { stats_.ops += n; }

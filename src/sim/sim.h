@@ -25,6 +25,7 @@
 // wall-clock with all events dispatched in between.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
@@ -33,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -215,7 +215,8 @@ class Simulation {
   // Schedules `h` to resume after `delay` simulated seconds.
   void schedule(double delay, std::coroutine_handle<> h) {
     GW_CHECK_MSG(delay >= 0, "negative delay");
-    queue_.push(Entry{now_ + delay, next_seq_++, h});
+    queue_.push_back(Entry{now_ + delay, next_seq_++, h});
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<Entry>{});
   }
 
   // Schedules at the current time, after already-queued same-time events.
@@ -290,7 +291,7 @@ class Simulation {
   void run_until(double t_end) {
     for (;;) {
       drain_pending_joins();
-      if (queue_.empty() || queue_.top().time > t_end) break;
+      if (queue_.empty() || queue_.front().time > t_end) break;
       step();
     }
     if (t_end > now_) now_ = t_end;
@@ -338,14 +339,37 @@ class Simulation {
 
   // Schedules `node` to crash `delay_s` simulated seconds from now, and —
   // when `restart_delay_s >= 0` (measured from now, must exceed `delay_s`)
-  // — to restart empty at that later instant.
-  void schedule_node_crash(int node, double delay_s,
-                           double restart_delay_s = -1.0) {
+  // — to restart empty at that later instant. Returns an id for
+  // cancel_node_crash.
+  int schedule_node_crash(int node, double delay_s,
+                          double restart_delay_s = -1.0) {
     GW_CHECK(node >= 0);
     GW_CHECK_MSG(delay_s >= 0, "crash scheduled in the past");
     GW_CHECK_MSG(restart_delay_s < 0 || restart_delay_s > delay_s,
                  "restart must follow the crash");
-    spawn(crash_process(node, delay_s, restart_delay_s));
+    const int id = static_cast<int>(unfired_crashes_.size());
+    Task<> process = crash_process(id, node, delay_s, restart_delay_s);
+    unfired_crashes_.push_back(process.handle_);
+    spawn(std::move(process));
+    return id;
+  }
+
+  // Withdraws a crash that has not fired yet, together with its restart:
+  // its queued entry goes, so it neither fires nor advances now(). A crash
+  // that already fired is left as it is, pending restart included. Costs
+  // one pass over the event queue; dispatch itself never checks for
+  // cancelled entries.
+  void cancel_node_crash(int id) {
+    GW_CHECK_MSG(id >= 0 && id < static_cast<int>(unfired_crashes_.size()),
+                 "cancel of an unknown crash id");
+    std::coroutine_handle<>& process =
+        unfired_crashes_[static_cast<std::size_t>(id)];
+    if (!process) return;  // fired, or cancelled before
+    std::erase_if(queue_,
+                  [&](const Entry& e) { return e.handle == process; });
+    std::make_heap(queue_.begin(), queue_.end(), std::greater<Entry>{});
+    process.destroy();
+    process = {};
   }
 
   // Flips liveness immediately and fires listeners. Exposed for tests; the
@@ -395,8 +419,10 @@ class Simulation {
     std::coroutine_handle<> handle;
   };
 
-  Task<> crash_process(int node, double delay_s, double restart_delay_s) {
+  Task<> crash_process(int id, int node, double delay_s,
+                       double restart_delay_s) {
     co_await delay(delay_s);
+    unfired_crashes_[static_cast<std::size_t>(id)] = {};
     set_node_alive(node, false);
     if (restart_delay_s >= 0) {
       co_await delay(restart_delay_s - delay_s);
@@ -405,8 +431,9 @@ class Simulation {
   }
 
   void step() {
-    Entry e = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<Entry>{});
+    const Entry e = queue_.back();
+    queue_.pop_back();
     GW_CHECK(e.time >= now_);
     now_ = e.time;
     ++events_processed_;
@@ -433,11 +460,16 @@ class Simulation {
   std::uint64_t events_processed_ = 0;
   std::uint64_t offload_joins_ = 0;
   std::uint64_t join_block_nanos_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
+  // Binary min-heap on (time, seq), kept by hand rather than in a
+  // std::priority_queue so cancel_node_crash can remove an entry.
+  std::vector<Entry> queue_;
   std::deque<PendingJoin> pending_joins_;
   std::vector<char> alive_;  // lazily sized; absent == alive
   std::vector<std::pair<int, CrashListener>> crash_listeners_;
   int next_listener_id_ = 0;
+  // By schedule_node_crash id: the crash's process while its crash is still
+  // queued, null once it fired or was cancelled.
+  std::vector<std::coroutine_handle<>> unfired_crashes_;
   trace::Tracer tracer_;
 };
 

@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <thread>
@@ -19,7 +21,15 @@ thread_local std::uint64_t t_current_task_id = 0;
 std::size_t resolve_thread_count(std::size_t threads) {
   if (threads == 0) {
     if (const char* env = std::getenv("GW_THREADS")) {
-      threads = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+      const std::optional<std::size_t> parsed = parse_thread_count(env);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr,
+                     "GW_THREADS=\"%s\": expected a whole number from 0 "
+                     "(hardware concurrency) to %zu\n",
+                     env, ThreadPool::kMaxThreads);
+        std::abort();
+      }
+      threads = *parsed;
     }
   }
   if (threads == 0) {
@@ -74,6 +84,16 @@ struct ForJob {
 };
 
 }  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t threads = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, threads);
+  if (ec != std::errc{} || ptr != end || threads > ThreadPool::kMaxThreads) {
+    return std::nullopt;
+  }
+  return threads;
+}
 
 struct ThreadPool::Impl {
   // One deque per worker (owner pushes/pops the back, thieves pop the

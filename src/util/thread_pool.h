@@ -37,12 +37,25 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
 namespace gw::util {
 
 class ThreadPool;
+
+// One slot of a per-group array that parallel_for chunks write, padded to a
+// cache line of its own. ForJob hands out chunks one at a time, so
+// neighbouring groups run on different threads at once; unpadded, their
+// counters, tables and output lists share lines that bounce between cores
+// on every record. The line size is a literal 64 (x86-64 and most arm64
+// hosts): std::hardware_destructive_interference_size in a header draws
+// GCC's -Winterference-size warning, which -Werror builds reject.
+template <typename T>
+struct alignas(64) CacheAligned {
+  T value;
+};
 
 namespace detail {
 
@@ -144,11 +157,21 @@ class Future {
   std::shared_ptr<detail::FutureState<T>> state_;
 };
 
+// The pool size GW_THREADS asks for: a decimal integer from 0 to
+// ThreadPool::kMaxThreads, where 0 means hardware concurrency. nullopt for
+// anything else (a sign, a suffix, an empty string, a larger number).
+std::optional<std::size_t> parse_thread_count(std::string_view text);
+
 class ThreadPool {
  public:
+  // The largest pool GW_THREADS may ask for.
+  static constexpr std::size_t kMaxThreads = 256;
+
   // threads == 0 picks GW_THREADS from the environment if set, else
-  // hardware_concurrency (min 1). A pool of N threads runs N-1 workers; the
-  // caller participates in parallel_for and in future joins.
+  // hardware_concurrency (min 1). A GW_THREADS that parse_thread_count
+  // rejects aborts, naming the variable, before any thread starts. A pool
+  // of N threads runs N-1 workers; the caller participates in parallel_for
+  // and in future joins.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

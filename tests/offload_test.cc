@@ -6,6 +6,8 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -130,6 +132,35 @@ TEST(ThreadPool, AbandonedTaskIsCancelledNotRun) {
     { auto f = pool.submit([&ran] { ran = true; }); }
   }
   EXPECT_FALSE(ran.load());
+}
+
+// GW_THREADS takes a whole number from 0 (hardware concurrency) to
+// kMaxThreads and nothing else. The parse is tested on its own, so no test
+// starts a pool of a size it refuses.
+TEST(ThreadPool, ThreadCountParseAcceptsOnlyZeroToMax) {
+  EXPECT_EQ(util::parse_thread_count("0"), 0u);
+  EXPECT_EQ(util::parse_thread_count("1"), 1u);
+  EXPECT_EQ(util::parse_thread_count("04"), 4u);
+  EXPECT_EQ(util::parse_thread_count("256"), util::ThreadPool::kMaxThreads);
+  for (const char* bad : {"", "-1", "+4", " 4", "4 ", "abc", "4x", "0x10",
+                          "257", "5000", "100000", "18446744073709551616"}) {
+    EXPECT_EQ(util::parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
+// A GW_THREADS the parse refuses aborts with a message naming the variable,
+// before the pool starts any thread.
+TEST(ThreadPoolDeathTest, RefusedGwThreadsAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"-1", "abc", "5000"}) {
+    EXPECT_DEATH(
+        {
+          setenv("GW_THREADS", bad, 1);
+          util::ThreadPool pool;
+        },
+        "GW_THREADS=\"[^\"]*\": expected a whole number from 0")
+        << bad;
+  }
 }
 
 sim::Task<> offload_one(sim::Simulation& sim, double charge, int* out) {

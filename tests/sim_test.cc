@@ -167,6 +167,44 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 2);
 }
 
+// A crash cancelled while it waits for its instant never happens, restart
+// included: the node stays alive, no listener runs, and run() stops at the
+// last live event instead of at the crash or restart instant.
+TEST(Simulation, CancelledCrashNeverFires) {
+  Simulation sim;
+  std::vector<std::pair<int, bool>> seen;
+  sim.add_crash_listener(
+      [&seen](int node, bool alive) { seen.emplace_back(node, alive); });
+  auto proc = [](Simulation& s, double t) -> Task<> { co_await s.delay(t); };
+  sim.spawn(proc(sim, 1.0));
+  const int crash = sim.schedule_node_crash(2, 5.0, 6.0);
+  sim.run_until(0.5);
+  const std::uint64_t events = sim.events_processed();
+  sim.cancel_node_crash(crash);
+  sim.cancel_node_crash(crash);  // a second cancel is a no-op
+  EXPECT_DOUBLE_EQ(sim.run(), 1.0);
+  EXPECT_EQ(sim.events_processed(), events + 1);
+  EXPECT_TRUE(sim.node_alive(2));
+  EXPECT_TRUE(seen.empty());
+}
+
+// Cancelling a crash that already fired changes nothing: its restart still
+// comes at the scheduled instant.
+TEST(Simulation, CancellingAFiredCrashKeepsItsRestart) {
+  Simulation sim;
+  std::vector<std::pair<int, bool>> seen;
+  sim.add_crash_listener(
+      [&seen](int node, bool alive) { seen.emplace_back(node, alive); });
+  const int crash = sim.schedule_node_crash(3, 1.0, 2.0);
+  sim.run_until(1.5);
+  EXPECT_FALSE(sim.node_alive(3));
+  sim.cancel_node_crash(crash);
+  EXPECT_DOUBLE_EQ(sim.run(), 2.0);
+  EXPECT_TRUE(sim.node_alive(3));
+  const std::vector<std::pair<int, bool>> want = {{3, false}, {3, true}};
+  EXPECT_EQ(seen, want);
+}
+
 TEST(Event, WaitersResumeAfterSet) {
   Simulation sim;
   Event ev(sim);
