@@ -84,7 +84,8 @@ struct Flags {
   // Multi-tenant mode (core::Scheduler): --tenants > 0 replaces the single
   // job with a seeded mixed workload (wc/pvc/terasort, small and large)
   // arriving open-loop at --arrival-rate and queued under --sched. --app
-  // and the input-size flags are ignored in this mode.
+  // and the input-size flags are ignored in this mode; --combine applies
+  // to every tenant.
   int tenants = 0;
   int jobs = 8;
   double arrival_rate = 0.5;  // jobs/s offered load
@@ -386,7 +387,10 @@ int main(int argc, char** argv) {
     sc.preemption = flags.preempt;
     sc.elastic_slots = flags.elastic;
     core::Scheduler sched(rt, platform, fs, sc);
-    for (auto& req : requests) sched.submit(std::move(req));
+    for (auto& req : requests) {
+      req.config.combine_mode = combine_mode;
+      sched.submit(std::move(req));
+    }
     const double t0 = platform.sim().now();
     sched.run_all();
     const double makespan = platform.sim().now() - t0;
@@ -405,7 +409,6 @@ int main(int argc, char** argv) {
       if (j.preemptions > 0) {
         extra += " preempted=" + std::to_string(j.preemptions);
       }
-      if (j.combine_degraded) extra += " combine-degraded";
       if (j.failed) extra += " FAILED";
       std::printf("job %d [%s] tenant=%d arrive=%.3fs wait=%.3fs "
                   "latency=%.3fs%s\n",

@@ -20,13 +20,15 @@ remote traffic emits them). With --expect-recovery, fail when the trace
 contains no "recovery" spans (a run with an injected crash must record
 its recovery rounds). With --expect-spills, fail when the trace contains
 no "spill" spans or no "merge" spans (a memory-governed run over budget
-must spill sorted runs and consolidate them), or when it lacks the
-"mem.budget"/"mem.peak" marks. Whenever both marks are present for a
-node, the recorded peak occupancy must respect the budget. With
---expect-combine, fail when the trace contains no "combine" spans
-(hierarchical combining must record its combine passes) or no
-"combine.in"/"combine.out" marks; whenever both marks are present for a
-node, the combined output volume must not exceed the input volume. With
+must spill sorted runs and consolidate them), or when it lacks a
+"mem.budget"/"mem.peak" pair. A job emits each pair on every node's phase
+track at its end, so a mark pairs with its partner on the same track at
+the same timestamp, which keeps the pairs of concurrent jobs and of DAG
+rounds apart; in every pair the recorded peak occupancy must respect the
+budget. With --expect-combine, fail when the trace contains no "combine"
+spans (hierarchical combining must record its combine passes) or no
+"combine.in"/"combine.out" pair; in every such pair the combined output
+volume must not exceed the input volume. With
 --expect-rounds N, fail unless the trace contains exactly N "round"
 spans (one per executed DAG round), each nested inside one of the "job"
 spans — a multi-round trace carries one job span per round, and every
@@ -139,10 +141,9 @@ def main():
     spill_spans = 0
     merge_spans = 0
     combine_spans = 0
-    mem_budget = {}  # pid -> budget bytes (mem.budget mark)
-    mem_peak = {}  # pid -> peak bytes (mem.peak mark)
-    combine_in = {}  # pid -> bytes entering combine passes (combine.in mark)
-    combine_out = {}  # pid -> bytes leaving combine passes (combine.out mark)
+    # (pid, tid, ts) -> {mark name: bytes}: mem.budget/mem.peak and
+    # combine.in/combine.out (bytes entering and leaving combine passes).
+    marks = {}
     job_intervals = []  # completed "job" spans as (begin_ts, end_ts)
     job_tracks = []  # (pid, tid) of each completed "job" span, same order
     job_open = {}  # (pid, tid) -> begin ts of that track's open "job" span
@@ -178,18 +179,17 @@ def main():
             merge_spans += 1
         if ph == "B" and ev["cat"] == "combine":
             combine_spans += 1
-        if ev["cat"] == "mark" and ev["name"] in ("mem.budget", "mem.peak"):
+        if ev["cat"] == "mark" and ev["name"] in (
+            "mem.budget",
+            "mem.peak",
+            "combine.in",
+            "combine.out",
+        ):
             arg = ev.get("args", {}).get("arg")
             if not isinstance(arg, (int, float)) or arg < 0:
                 fail(f"{where}: {ev['name']} mark with bad arg {arg!r}")
-            dest = mem_budget if ev["name"] == "mem.budget" else mem_peak
-            dest[ev["pid"]] = arg
-        if ev["cat"] == "mark" and ev["name"] in ("combine.in", "combine.out"):
-            arg = ev.get("args", {}).get("arg")
-            if not isinstance(arg, (int, float)) or arg < 0:
-                fail(f"{where}: {ev['name']} mark with bad arg {arg!r}")
-            dest = combine_in if ev["name"] == "combine.in" else combine_out
-            dest[ev["pid"]] = arg
+            key = (ev["pid"], ev["tid"], ev["ts"])
+            marks.setdefault(key, {})[ev["name"]] = arg
         if ev["cat"] == "recovery":
             recovery_events.append((idx, ev["ts"]))
         if ev["name"] == "job" and ev["cat"] == "phase":
@@ -253,29 +253,34 @@ def main():
                 )
     if expect_recovery and not recovery_events:
         fail("no recovery events found (expected crash-recovery rounds)")
-    for pid, peak in mem_peak.items():
-        if pid in mem_budget and peak > mem_budget[pid]:
-            fail(
-                f"pid {pid}: mem.peak {peak} exceeds mem.budget "
-                f"{mem_budget[pid]}"
-            )
+    mem_pairs = 0
+    combine_pairs = 0
+    for (pid, tid, ts), m in marks.items():
+        if "mem.budget" in m and "mem.peak" in m:
+            mem_pairs += 1
+            if m["mem.peak"] > m["mem.budget"]:
+                fail(
+                    f"pid {pid}: mem.peak {m['mem.peak']} exceeds mem.budget "
+                    f"{m['mem.budget']} (tid {tid}, ts {ts})"
+                )
+        if "combine.in" in m and "combine.out" in m:
+            combine_pairs += 1
+            if m["combine.out"] > m["combine.in"]:
+                fail(
+                    f"pid {pid}: combine.out {m['combine.out']} exceeds "
+                    f"combine.in {m['combine.in']} (tid {tid}, ts {ts})"
+                )
     if expect_spills:
         if spill_spans == 0:
             fail("no spill spans found (expected budgeted external spills)")
         if merge_spans == 0:
             fail("no merge spans found (expected multi-level run merges)")
-        if not mem_budget or not mem_peak:
+        if mem_pairs == 0:
             fail("no mem.budget/mem.peak marks (expected a governed run)")
-    for pid, out_bytes in combine_out.items():
-        if pid in combine_in and out_bytes > combine_in[pid]:
-            fail(
-                f"pid {pid}: combine.out {out_bytes} exceeds combine.in "
-                f"{combine_in[pid]}"
-            )
     if expect_combine:
         if combine_spans == 0:
             fail("no combine spans found (expected hierarchical combining)")
-        if not combine_in or not combine_out:
+        if combine_pairs == 0:
             fail(
                 "no combine.in/combine.out marks (expected a combining run)"
             )

@@ -212,8 +212,8 @@ AppSpec kmeans(KmeansConfig config, std::vector<float> centers) {
                                  value));
   };
   // Float accumulation is order-sensitive; hierarchical combining regroups
-  // partials, so byte-identical output across modes is NOT guaranteed.
-  // Left unset: combine_mode degrades to kOff for this app.
+  // partials, so byte-identical output across modes is NOT guaranteed. Not
+  // associative, so by the capability rules k-means jobs run kOff.
   spec.kernels.combine_associative = false;
 
   spec.kernels.reduce = [d, aggregate](

@@ -121,11 +121,11 @@ enum class OutputMode {
 //           designated node per rack re-combines the rack's extra-rack
 //           shuffle streams and forwards a single deduplicated stream
 //           across the core switch.
-// Requires an app combine function declared combine_associative (and no
-// speculation); without one the job runs with kOff. A mode the execution
-// environment cannot honour (no rack structure, shared governors, a
-// preemptable job, nodes dead at job start) is weakened at job setup and
-// reported as JobResult::combine_degraded.
+// Capability rules (core::effective_combine_mode): a job without an app
+// combine function declared combine_associative, or with speculation, runs
+// kOff; kRack without at least two racks (NetworkProfile::rack_size) runs
+// kNode. Nothing else changes the mode: preemptable jobs, jobs sharing a
+// scheduler's governors and jobs started with nodes dead combine too.
 enum class CombineMode { kOff = 0, kNode = 1, kRack = 2 };
 
 // Host-side processing rates (bytes/s per thread and fixed per-item costs)
@@ -180,9 +180,8 @@ struct JobConfig {
 
   // --- hierarchical combining (node / rack tiers) ---
   // Default off: the push shuffle keeps its legacy byte-identical event
-  // order. kNode/kRack require an associative app combiner (and kRack a
-  // NetworkProfile rack_size); the runtime normalizes impossible requests
-  // down (kRack -> kNode -> kOff) instead of failing.
+  // order. The CombineMode capability rules lower a request the app or the
+  // cluster cannot serve; none is refused.
   CombineMode combine_mode = CombineMode::kOff;
 
   // Reduce pipeline (§III-C, §IV-B4).
@@ -321,9 +320,6 @@ struct JobResult {
   StageBreakdown stages;  // aggregated across nodes (max busy time per stage)
   JobStats stats;
   std::vector<std::string> output_files;
-  // The job asked for combining but the runtime had to weaken or disable it
-  // (shared per-node governor, preemptable run, degraded cluster, ...).
-  bool combine_degraded = false;
   // The run wound down early at a task boundary after a preemption request;
   // output_files/stats cover only the work done so far and the remainder
   // was captured into the job's PreemptControl::state.

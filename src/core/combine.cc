@@ -58,10 +58,23 @@ Run combine_runs(const std::vector<const Run*>& inputs,
   return rb.finish(compress);
 }
 
-NodeCombiner::NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo)
+RackTopology::RackTopology(int rack_size, const std::vector<int>& live_nodes)
+    : rack_size_(rack_size) {
+  for (int n : live_nodes) {
+    const auto rack = static_cast<std::size_t>(n / rack_size_);
+    if (racks_.size() <= rack) racks_.resize(rack + 1);
+    racks_[rack].push_back(n);
+  }
+  for (const std::vector<int>& members : racks_) {
+    if (!members.empty()) aggregators_.push_back(members.front());
+  }
+}
+
+NodeCombiner::NodeCombiner(NodeContext ctx, Tier tier,
+                           const RackTopology& racks)
     : ctx_(std::move(ctx)),
       tier_(tier),
-      topo_(topo),
+      racks_(racks),
       combine_(&ctx_.app->combine.value()),
       sends_(ctx_.sim()) {
   auto& tr = ctx_.sim().tracer();
@@ -92,7 +105,7 @@ sim::Task<> NodeCombiner::add(int g, std::vector<std::uint64_t> tags,
   sim::Resource::Hold hold =
       co_await mem.acquire(MemoryGovernor::Pool::kCombine, bytes);
   Bucket& b = buckets_[g];
-  for (std::uint64_t t : tags) b.tags.push_back(t);
+  b.tags.push_back(std::move(tags));
   b.runs.push_back(std::move(run));
   b.holds.push_back(std::move(hold));
   b.bytes += bytes;
@@ -148,8 +161,20 @@ sim::Task<> NodeCombiner::flush(int g) {
       static_cast<double>(out.raw_bytes) / h.serialize_bytes_per_s +
       static_cast<double>(out.raw_bytes) / h.compress_bytes_per_s);
   tr.end(track_, trace::Kind::kCombine, combine_name_, sim.now());
-  metrics_.out_bytes += out.stored_bytes();
-  route(g, std::move(b.tags), std::move(out));
+  if (out.stored_bytes() < in_stored) {
+    // The combined run carries the union of its constituents' tags.
+    std::vector<std::uint64_t> tags;
+    for (const auto& t : b.tags) tags.insert(tags.end(), t.begin(), t.end());
+    metrics_.out_bytes += out.stored_bytes();
+    route(g, std::move(tags), std::move(out));
+    co_return;
+  }
+  // Keys barely repeat here and the re-compressed run came out no smaller:
+  // ship the inputs as they came, each under its own tags.
+  metrics_.out_bytes += in_stored;
+  for (std::size_t i = 0; i < b.runs.size(); ++i) {
+    route(g, std::move(b.tags[i]), std::move(b.runs[i]));
+  }
 }
 
 void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
@@ -158,16 +183,16 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
   int dst = dest;
   int port = ctx_.shuffle_port;
   net::TrafficClass tc = net::TrafficClass::kShuffle;
-  if (topo_.rack_size > 0) {
-    if (tier_ == Tier::kMap && !topo_.same_rack(dest, ctx_.node_id)) {
+  if (!racks_.flat()) {
+    if (tier_ == Tier::kMap && !racks_.same_rack(dest, ctx_.node_id)) {
       // Extra-rack output funnels through this rack's aggregator on the
       // dedicated intra-rack traffic class; only the aggregator's
       // consolidated stream crosses the core switch.
-      dst = topo_.aggregator_of(topo_.rack_of(ctx_.node_id));
+      dst = racks_.aggregator(ctx_.node_id);
       port = ctx_.port_base + net::kPortRackAgg;
       tc = net::TrafficClass::kRackAgg;
     } else if (tier_ == Tier::kRackAgg &&
-               topo_.same_rack(dest, ctx_.node_id)) {
+               racks_.same_rack(dest, ctx_.node_id)) {
       // The partition was reassigned into our rack (a crash) after members
       // routed it here; its owner's shuffle stream may already be closed.
       // Drop it — the recovery round re-feeds its pre-combine provenance

@@ -12,7 +12,7 @@
 //     (chunk, partition).
 //
 //   * Rack tier (CombineMode::kRack): additionally, each rack designates
-//     its lowest-numbered node as aggregator. Members send their
+//     its lowest-numbered live node as aggregator. Members send their
 //     extra-rack shuffle streams to the aggregator on a dedicated traffic
 //     class (intra-rack wires, never the core switch); the aggregator
 //     re-combines per partition and forwards a single deduplicated stream
@@ -48,25 +48,33 @@ namespace gw::core {
 Run combine_runs(const std::vector<const Run*>& inputs,
                  const CombineFn& combine, bool compress);
 
-// Rack topology derived from NetworkProfile::rack_size: rack r is the node
-// range [r*rack_size, (r+1)*rack_size) clipped to the cluster, and its
-// aggregator is its lowest-numbered node.
-struct RackTopology {
-  int rack_size = 0;  // 0 = flat (no racks)
-  int num_nodes = 1;
+// The racks of a job's nodes alive at its start (CombineMode::kRack). Rack
+// r is the node range [r*rack_size, (r+1)*rack_size) of
+// NetworkProfile::rack_size; its members are the range's live nodes and its
+// aggregator is the lowest of them. A rack without a live node takes no
+// part. Default-constructed = flat: every run goes straight to its owner.
+class RackTopology {
+ public:
+  RackTopology() = default;
+  RackTopology(int rack_size, const std::vector<int>& live_nodes);
 
-  int rack_of(int n) const { return n / rack_size; }
-  int num_racks() const { return (num_nodes + rack_size - 1) / rack_size; }
-  int aggregator_of(int rack) const { return rack * rack_size; }
-  bool is_aggregator(int n) const {
-    return n == aggregator_of(rack_of(n));
+  bool flat() const { return rack_size_ == 0; }
+  bool same_rack(int a, int b) const {
+    return a / rack_size_ == b / rack_size_;
   }
-  bool same_rack(int a, int b) const { return rack_of(a) == rack_of(b); }
-  int members_of(int rack) const {  // member count, aggregator included
-    const int lo = rack * rack_size;
-    const int hi = std::min(num_nodes, lo + rack_size);
-    return hi - lo;
+  // The live members of live node n's rack, ascending (aggregator first).
+  const std::vector<int>& members(int n) const {
+    return racks_[static_cast<std::size_t>(n / rack_size_)];
   }
+  int aggregator(int n) const { return members(n).front(); }
+  bool is_aggregator(int n) const { return aggregator(n) == n; }
+  // One aggregator per rack with a live node, ascending.
+  const std::vector<int>& aggregators() const { return aggregators_; }
+
+ private:
+  int rack_size_ = 0;
+  std::vector<std::vector<int>> racks_;  // rack -> live members
+  std::vector<int> aggregators_;
 };
 
 struct CombineMetrics {
@@ -78,7 +86,9 @@ struct CombineMetrics {
 };
 
 // One combining stage: buffers runs per global partition, merge-combines
-// them on flush, and routes the combined output. Used in two places — the
+// them on flush, and routes the combined output, or the inputs themselves
+// when combining did not make them smaller, so out_bytes never exceeds
+// in_bytes. Used in two places — the
 // map tier (fed by the partition workers) and the rack aggregator (fed by
 // the kPortRackAgg receiver).
 class NodeCombiner {
@@ -88,10 +98,11 @@ class NodeCombiner {
     kRackAgg,  // routes straight to the partition owner
   };
 
-  // `topo.rack_size == 0` (node mode) routes everything straight to the
-  // owner. Staging draws from the governor's combine pool, and flushes when
-  // that pool is full, or past 4 MiB of buffered runs if it is unbounded.
-  NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo);
+  // A flat `racks` (node mode) routes everything straight to the owner;
+  // it must outlive the combiner. Staging draws from the governor's combine
+  // pool, and flushes when that pool is full, or past 4 MiB of buffered
+  // runs if it is unbounded.
+  NodeCombiner(NodeContext ctx, Tier tier, const RackTopology& racks);
 
   // Buffers one run for global partition g, tagged with the union of its
   // constituents' dedup tags (a single split tag at the map tier). Flushes
@@ -114,7 +125,7 @@ class NodeCombiner {
 
  private:
   struct Bucket {
-    std::vector<std::uint64_t> tags;
+    std::vector<std::vector<std::uint64_t>> tags;  // per run
     std::vector<Run> runs;
     std::vector<sim::Resource::Hold> holds;  // combine-pool staging bytes
     std::uint64_t bytes = 0;
@@ -128,7 +139,7 @@ class NodeCombiner {
 
   NodeContext ctx_;
   Tier tier_;
-  RackTopology topo_;
+  const RackTopology& racks_;
   const CombineFn* combine_;
   std::map<int, Bucket> buckets_;  // ordered: deterministic flush order
   std::uint64_t buffered_ = 0;

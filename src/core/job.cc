@@ -46,6 +46,8 @@ struct JobShared {
   // Which node's death created each round (rack-mode recovery needs to know
   // whether a rack lost its aggregator).
   std::map<int, int> crashed_node;
+  // Rack mode: the racks of the nodes alive at job start; flat otherwise.
+  RackTopology racks;
   std::set<int> rounds_entered;
   std::uint64_t partitions_reassigned = 0;
 
@@ -117,10 +119,10 @@ sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
 // extra-rack node when done (members' streams were closed by their own
 // member EOS; a dead aggregator's closures are crash-compensated instead).
 sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
-                            NodeCombiner& agg, RackTopology topo) {
+                            NodeCombiner& agg) {
   net::Transport::Receiver rx = ctx.platform->transport().receiver(
       ctx.node_id, ctx.port_base + net::kPortRackAgg,
-      topo.members_of(topo.rack_of(ctx.node_id)));
+      static_cast<int>(shared.racks.members(ctx.node_id).size()));
   for (;;) {
     auto msg = co_await rx.recv();
     if (!msg) break;
@@ -136,7 +138,7 @@ sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
   }
   std::vector<int> extra;
   for (int n = 0; n < ctx.num_nodes; ++n) {
-    if (!topo.same_rack(n, ctx.node_id)) extra.push_back(n);
+    if (!shared.racks.same_rack(n, ctx.node_id)) extra.push_back(n);
   }
   co_await broadcast_eos(ctx, shared, ctx.port_base + net::kPortShuffle,
                          extra, nullptr);
@@ -210,7 +212,6 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
   auto& sim = ctx.sim();
   auto& tr = sim.tracer();
   net::Transport& tp = ctx.platform->transport();
-  const JobConfig& cfg = *ctx.config;
   const auto rec_name = tr.intern(ctx.scoped("phase.recovery"));
 
   while (state.handled_epoch < shared.crash_epoch) {
@@ -275,15 +276,13 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     // outside the rack, individually on the round port — per-tag dedup at
     // the destinations drops whatever the aggregator already forwarded.
     // Partitions reassigned this round were already re-fed above.
-    if (cfg.combine_mode == CombineMode::kRack) {
-      RackTopology topo{ctx.platform->fabric().profile().rack_size,
-                        ctx.num_nodes};
+    if (!shared.racks.flat()) {
       const auto dead_it = shared.crashed_node.find(round);
       if (dead_it != shared.crashed_node.end() &&
-          dead_it->second == topo.aggregator_of(topo.rack_of(ctx.node_id))) {
+          dead_it->second == shared.racks.aggregator(ctx.node_id)) {
         std::vector<int> extra_rack;
         for (const auto& [g, entries] : state.ledger.runs) {
-          if (topo.same_rack(rctx.owner_of(g), ctx.node_id)) continue;
+          if (shared.racks.same_rack(rctx.owner_of(g), ctx.node_id)) continue;
           if (std::binary_search(moved.begin(), moved.end(), g)) continue;
           extra_rack.push_back(g);
         }
@@ -315,29 +314,27 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   const int rack_agg_port = ctx.port_base + net::kPortRackAgg;
   ctx.store->start_mergers();
 
+  // Expect one EOS per node alive at job start (all of them, normally; a
+  // DAG round after an unrecovered inter-round crash, or a tenant admitted
+  // after one, runs without the dead nodes, which never open a stream).
   // Rack mode reshapes the main-port streams: a node hears from its own
   // rack's members plus the other racks' aggregators (one consolidated
   // stream per foreign rack) instead of from everyone.
-  const bool rack_mode = cfg.combine_mode == CombineMode::kRack;
-  RackTopology topo;
-  if (rack_mode) {
-    topo.rack_size = ctx.platform->fabric().profile().rack_size;
-    topo.num_nodes = ctx.num_nodes;
-  }
-  // Expect one EOS per node alive at job start (all of them, normally; a
-  // DAG round after an unrecovered inter-round crash runs degraded and the
-  // dead nodes never open a stream).
+  const RackTopology& racks = shared.racks;
   int expected = 0;
-  for (int n = 0; n < ctx.num_nodes; ++n) {
-    if (shared.job_live(sim, n)) ++expected;
-  }
-  if (rack_mode) {
-    expected = topo.members_of(topo.rack_of(ctx.node_id)) + topo.num_racks() - 1;
+  if (!racks.flat()) {
+    expected = static_cast<int>(racks.members(ctx.node_id).size() +
+                                racks.aggregators().size()) -
+               1;
+  } else {
+    for (int n = 0; n < ctx.num_nodes; ++n) {
+      if (shared.job_live(sim, n)) ++expected;
+    }
   }
   sim.spawn(
       shuffle_receiver(ctx, shuffle_port, expected, *state.shuffle_done));
   if (state.rack_combiner != nullptr) {
-    sim.spawn(rack_aggregator(ctx, shared, *state.rack_combiner, topo));
+    sim.spawn(rack_aggregator(ctx, shared, *state.rack_combiner));
   }
 
   // Multi-tenant slot gate: at most `capacity` resident jobs run their map
@@ -382,18 +379,14 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   // aggregator closes the extra-rack streams itself once all member EOS
   // arrived and its consolidated output is flushed).
   std::vector<int> dsts;
-  if (rack_mode) {
-    const int rack = topo.rack_of(ctx.node_id);
-    for (int i = 0; i < topo.members_of(rack); ++i) {
-      dsts.push_back(topo.aggregator_of(rack) + i);
-    }
+  if (!racks.flat()) {
+    dsts = racks.members(ctx.node_id);
   } else {
     for (int dst = 0; dst < ctx.num_nodes; ++dst) dsts.push_back(dst);
   }
   co_await broadcast_eos(ctx, shared, shuffle_port, dsts, nullptr);
-  if (rack_mode) {
-    const std::vector<int> agg(
-        1, topo.aggregator_of(topo.rack_of(ctx.node_id)));
+  if (!racks.flat()) {
+    const std::vector<int> agg(1, racks.aggregator(ctx.node_id));
     co_await broadcast_eos(ctx, shared, rack_agg_port, agg, nullptr);
   }
   map_slot.release();
@@ -482,7 +475,7 @@ struct JobExec {
   dfs::FileSystem& fs;
   std::vector<std::unique_ptr<cl::Device>>& map_devices;
   std::vector<std::unique_ptr<cl::Device>>& reduce_devices;
-  AppKernels app;     // normalized copy (partitioner default, combine gating)
+  AppKernels app;     // normalized copy (partitioner default)
   JobConfig config;   // normalized copy
   const JobEnv& env;  // port window, trace scope, shared slots/governors
   sim::Simulation& sim;
@@ -496,9 +489,7 @@ struct JobExec {
   // The durable-output ledger is recorded: a crash can reach the job or the
   // job can be suspended (see MapOutputLedger).
   bool ledger_armed = false;
-  int rack_size = 0;
   std::vector<int> start_live;
-  bool degraded = false;
   std::uint64_t net_shuffle0 = 0;
   std::uint64_t net_dfs0 = 0;
   std::uint64_t net_control0 = 0;
@@ -507,8 +498,7 @@ struct JobExec {
   std::uint64_t dfs_rerep0 = 0;
   std::optional<SplitScheduler> scheduler;
   JobShared shared;
-  bool resuming = false;              // previous residency was suspended
-  bool combine_degraded = false;      // requested combining forced weaker
+  bool resuming = false;  // previous residency was suspended
   int listener_id = -1;
   std::vector<int> crash_ids;  // this job's config.crash_events, scheduled
   trace::TrackRef job_track;
@@ -602,44 +592,7 @@ void JobExec::setup() {
       !app.combine.has_value()) {
     config.use_combiner = false;
   }
-  // Hierarchical combining needs an app combiner with the declared
-  // associativity contract. Speculation is incompatible: a straggler clone
-  // regenerates a tagged run on a different node, whose combiner may group
-  // it with different partners — the destination would see a partial
-  // overlap with an already-stored combined run.
-  if (config.combine_mode != CombineMode::kOff &&
-      (!app.combine.has_value() || !app.combine_associative ||
-       config.speculate)) {
-    config.combine_mode = CombineMode::kOff;
-  }
-  // Environment-forced combine degradations below are SURFACED via
-  // JobResult::combine_degraded (and from there the scheduler's per-job
-  // record + sched: line): the job asked for a combine tier its execution
-  // environment cannot honour. The capability gates above are not
-  // degradations — the request itself was unsatisfiable by the app.
-  const CombineMode requested_combine = config.combine_mode;
-  // Rack aggregation needs rack structure to exploit; otherwise degrade to
-  // the node tier, which is the same data path minus the aggregator hop.
-  rack_size = platform.fabric().profile().rack_size;
-  if (config.combine_mode == CombineMode::kRack &&
-      (rack_size <= 0 || platform.num_nodes() <= rack_size)) {
-    config.combine_mode = CombineMode::kNode;
-  }
-  // Scheduler-shared governors carve no combine pool (their budget split is
-  // fixed before the tenant mix is known), so combining degrades off rather
-  // than drawing from a pool that was never funded.
-  if (!env.governors.empty()) {
-    config.combine_mode = CombineMode::kOff;
-  }
-  // Preemptable jobs do not combine: no test yet checks that a resumed
-  // residency with combining on produces byte-identical output.
-  if (env.preempt != nullptr) {
-    config.combine_mode = CombineMode::kOff;
-  }
-  if (config.combine_mode != requested_combine &&
-      requested_combine != CombineMode::kOff) {
-    combine_degraded = true;
-  }
+  config.combine_mode = effective_combine_mode(app, config, platform);
 
   // Checkpoint-based preemption handshake (core::Scheduler).
   resuming = env.preempt != nullptr && env.preempt->preemptions > 0;
@@ -675,20 +628,19 @@ void JobExec::setup() {
   // Nodes already dead when the job starts (between DAG rounds, or a job
   // admitted to a shared cluster after another tenant's crash) take no
   // part: their partitions move to the survivors up front, no pipelines
-  // are spawned for them, and shuffle streams expect only live senders.
-  // With every node alive this block changes nothing.
+  // are spawned for them, shuffle streams expect only live senders, and
+  // rack mode builds its racks from the live nodes. With every node alive
+  // none of this changes anything.
   for (int n = 0; n < num_nodes; ++n) {
     if (sim.node_alive(n)) start_live.push_back(n);
   }
   GW_CHECK_MSG(!start_live.empty(), "every node is dead at job start");
-  degraded = static_cast<int>(start_live.size()) < num_nodes;
-  if (degraded) {
-    GW_CHECK_MSG(config.dag_round >= 0 || env.scheduled(),
-                 "node dead at job start outside a DAG round or scheduler");
-    // The combine tiers assume full-mesh membership; a shrunken cluster
-    // falls back to the plain shuffle path.
-    if (config.combine_mode != CombineMode::kOff) combine_degraded = true;
-    config.combine_mode = CombineMode::kOff;
+  GW_CHECK_MSG(static_cast<int>(start_live.size()) == num_nodes ||
+                   config.dag_round >= 0 || env.scheduled(),
+               "node dead at job start outside a DAG round or scheduler");
+  if (config.combine_mode == CombineMode::kRack) {
+    shared.racks =
+        RackTopology(platform.spec().network.rack_size, start_live);
   }
 
   // Transport counters are cumulative per platform (input staging and
@@ -724,54 +676,41 @@ void JobExec::setup() {
     shared.owner[static_cast<std::size_t>(g)] =
         g / config.partitions_per_node;
   }
-  if (degraded) {
-    // Start-dead nodes never produce or reduce; round-robin their
-    // partitions over the live nodes (ascending ids: deterministic), the
-    // same policy the crash listener applies mid-job.
-    std::size_t rr = 0;
-    for (int g = 0; g < total_partitions; ++g) {
-      int& owner = shared.owner[static_cast<std::size_t>(g)];
-      if (sim.node_alive(owner)) continue;
-      owner = start_live[rr++ % start_live.size()];
-    }
-    for (int n = 0; n < num_nodes; ++n) {
-      if (!sim.node_alive(n)) shared.failed.insert(n);
-    }
+  // Start-dead nodes never produce or reduce; round-robin their partitions
+  // over the live nodes (ascending ids: deterministic), the same policy the
+  // crash listener applies mid-job.
+  std::size_t rr = 0;
+  for (int g = 0; g < total_partitions; ++g) {
+    int& owner = shared.owner[static_cast<std::size_t>(g)];
+    if (sim.node_alive(owner)) continue;
+    owner = start_live[rr++ % start_live.size()];
+  }
+  for (int n = 0; n < num_nodes; ++n) {
+    if (!sim.node_alive(n)) shared.failed.insert(n);
   }
   shared.park = std::make_unique<sim::Event>(sim);
 
   // JobTracker bookkeeping: who is expected on every shuffle stream (for
   // crash compensation), the crash listener that reassigns work, and the
   // scheduled crash events themselves.
-  if (config.combine_mode == CombineMode::kRack) {
+  // Only nodes alive at job start ever open a stream; dead-at-start nodes
+  // are neither senders nor receivers.
+  const RackTopology& racks = shared.racks;
+  for (int dst : start_live) {
+    if (racks.flat()) {
+      tp.expect_senders(dst, port(net::kPortShuffle), start_live);
+      continue;
+    }
     // Rack mode reshapes the main-port streams: a node hears from its own
     // rack's members plus the other racks' aggregators, and an aggregator
     // additionally hears its members on the rack-agg port.
-    const RackTopology topo{rack_size, num_nodes};
-    for (int dst = 0; dst < num_nodes; ++dst) {
-      const int rack = topo.rack_of(dst);
-      std::vector<int> senders;
-      for (int i = 0; i < topo.members_of(rack); ++i) {
-        senders.push_back(topo.aggregator_of(rack) + i);
-      }
-      for (int r = 0; r < topo.num_racks(); ++r) {
-        if (r != rack) senders.push_back(topo.aggregator_of(r));
-      }
-      tp.expect_senders(dst, port(net::kPortShuffle), senders);
+    std::vector<int> senders = racks.members(dst);
+    for (int agg : racks.aggregators()) {
+      if (!racks.same_rack(agg, dst)) senders.push_back(agg);
     }
-    for (int r = 0; r < topo.num_racks(); ++r) {
-      std::vector<int> members;
-      for (int i = 0; i < topo.members_of(r); ++i) {
-        members.push_back(topo.aggregator_of(r) + i);
-      }
-      tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
-                        members);
-    }
-  } else {
-    // Only nodes alive at job start ever open a stream; dead-at-start
-    // nodes are neither senders nor receivers.
-    for (int dst : start_live) {
-      tp.expect_senders(dst, port(net::kPortShuffle), start_live);
+    tp.expect_senders(dst, port(net::kPortShuffle), senders);
+    if (racks.is_aggregator(dst)) {
+      tp.expect_senders(dst, port(net::kPortRackAgg), racks.members(dst));
     }
   }
   listener_id = sim.add_crash_listener([this](int node, bool alive) {
@@ -898,16 +837,11 @@ void JobExec::setup() {
       }
     }
     if (config.combine_mode != CombineMode::kOff) {
-      RackTopology topo;  // rack_size 0 = route straight to the owner
-      if (config.combine_mode == CombineMode::kRack) {
-        topo = RackTopology{rack_size, num_nodes};
-      }
       state.combiner = std::make_unique<NodeCombiner>(
-          ctx, NodeCombiner::Tier::kMap, topo);
-      if (config.combine_mode == CombineMode::kRack &&
-          topo.is_aggregator(n)) {
+          ctx, NodeCombiner::Tier::kMap, racks);
+      if (!racks.flat() && racks.is_aggregator(n)) {
         state.rack_combiner = std::make_unique<NodeCombiner>(
-            ctx, NodeCombiner::Tier::kRackAgg, topo);
+            ctx, NodeCombiner::Tier::kRackAgg, racks);
       }
     }
     all.spawn(node_main(ctx, map_devices[static_cast<std::size_t>(n)].get(),
@@ -1071,7 +1005,6 @@ JobResult JobExec::finalize() {
       tp.total_bytes(net::TrafficClass::kControl) - net_control0;
   result.stats.net_rack_agg_bytes =
       tp.total_bytes(net::TrafficClass::kRackAgg) - net_rack_agg0;
-  result.combine_degraded = combine_degraded;
   if (resuming) {
     // Fold in the residencies before the suspension: counters add, output
     // files union (a resumed run never re-reduces a committed partition,
@@ -1111,6 +1044,21 @@ void JobExec::capture_suspension(JobResult& result) {
 }
 
 }  // namespace
+
+CombineMode effective_combine_mode(const AppKernels& app,
+                                   const JobConfig& config,
+                                   const cluster::Platform& platform) {
+  if (!app.combine.has_value() || !app.combine_associative ||
+      config.speculate) {
+    return CombineMode::kOff;
+  }
+  const int rack_size = platform.spec().network.rack_size;
+  if (config.combine_mode == CombineMode::kRack &&
+      (rack_size <= 0 || platform.num_nodes() <= rack_size)) {
+    return CombineMode::kNode;
+  }
+  return config.combine_mode;
+}
 
 std::vector<std::unique_ptr<cl::Device>> GlasswingRuntime::make_devices(
     const cl::DeviceSpec& spec) {

@@ -61,6 +61,14 @@ struct JobEnv {
   bool scheduled() const { return job_id >= 0; }
 };
 
+// config.combine_mode lowered by the CombineMode capability rules (api.h).
+// Speculation turns combining off because a clone on another node groups a
+// split's runs with different partners, and the destination's dedup rule
+// rejects the partial tag overlap.
+CombineMode effective_combine_mode(const AppKernels& app,
+                                   const JobConfig& config,
+                                   const cluster::Platform& platform);
+
 class GlasswingRuntime {
  public:
   // One compute device per node, built from `device`; CPU-type devices share

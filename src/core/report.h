@@ -97,13 +97,13 @@ inline void print_sched_line(const Scheduler& s, SchedPolicy policy,
   std::printf(
       "sched: policy=%s jobs=%d finished=%d rejected=%d failed=%d "
       "resident_peak=%d queue_peak=%d p50=%.3fs p99=%.3fs makespan=%.3fs "
-      "throughput=%.3fjobs/s preempts=%d resumes=%d degraded=%d\n",
+      "throughput=%.3fjobs/s preempts=%d resumes=%d\n",
       sched_policy_name(policy), s.jobs_submitted(), finished,
       s.jobs_rejected(), s.jobs_failed(), s.resident_peak(), s.queue_peak(),
       sched_latency_quantile(s.results(), 0.50),
       sched_latency_quantile(s.results(), 0.99), makespan_s,
       makespan_s > 0 ? finished / makespan_s : 0.0, s.jobs_preempted(),
-      s.jobs_resumed(), s.combine_degraded_jobs());
+      s.jobs_resumed());
 }
 
 }  // namespace gw::core

@@ -60,17 +60,6 @@ Scheduler::Scheduler(GlasswingRuntime& runtime, cluster::Platform& platform,
     env_.map_slots.push_back(map_slots_.back().get());
     env_.reduce_slots.push_back(reduce_slots_.back().get());
   }
-  if (config_.node_memory_bytes > 0) {
-    // One budget per NODE, shared by every tenant resident on it. No
-    // combine pool: the split is fixed before the tenant mix is known
-    // (run_async degrades combine_mode accordingly).
-    for (int i = 0; i < n; ++i) {
-      governors_.push_back(std::make_unique<MemoryGovernor>(
-          platform_.sim(), config_.node_memory_bytes,
-          /*with_combine_pool=*/false));
-      env_.governors.push_back(governors_.back().get());
-    }
-  }
 }
 
 Scheduler::~Scheduler() = default;
@@ -79,6 +68,10 @@ int Scheduler::submit(JobRequest req) {
   const int id = static_cast<int>(requests_.size());
   GW_CHECK_MSG(req.arrival_s >= 0, "arrival in the past");
   if (!req.config.crash_events.empty()) any_crashes_ = true;
+  if (effective_combine_mode(req.app, req.config, platform_) !=
+      CombineMode::kOff) {
+    any_combining_ = true;
+  }
   ScheduledJob r;
   r.job_id = id;
   r.name = req.name;
@@ -437,8 +430,6 @@ sim::Task<void> Scheduler::run_job(int id) {
 
   r.finish_s = leave;
   r.latency_s = r.finish_s - r.arrival_s;
-  r.combine_degraded = !r.failed && r.result.combine_degraded;
-  if (r.combine_degraded) ++combine_degraded_count_;
   ++t.jobs_finished;
   t.wait_s += r.queue_wait_s;
   ++completed_;
@@ -446,6 +437,17 @@ sim::Task<void> Scheduler::run_job(int id) {
 }
 
 void Scheduler::run_all() {
+  if (config_.node_memory_bytes > 0) {
+    // One budget per NODE, shared by every tenant resident on it. Every
+    // submission is registered by now, so the combine pool is carved only
+    // when some job combines and a mix without combining keeps the four
+    // pools.
+    for (int i = 0; i < platform_.num_nodes(); ++i) {
+      governors_.push_back(std::make_unique<MemoryGovernor>(
+          platform_.sim(), config_.node_memory_bytes, any_combining_));
+      env_.governors.push_back(governors_.back().get());
+    }
+  }
   platform_.sim().run();
   GW_CHECK_MSG(completed_ == static_cast<int>(requests_.size()),
                "scheduler hang: jobs pending after event queue drained");

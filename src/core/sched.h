@@ -55,8 +55,9 @@ struct SchedulerConfig {
   // rejected (counted, never run). 0 = unbounded queue.
   int max_queued_jobs = 0;
   // Shared per-node memory budget carved across ALL resident jobs (one
-  // governor per node, handed to every job via JobEnv). 0 = each job uses
-  // its own per-job governor iff its JobConfig asks for one.
+  // governor per node, handed to every job via JobEnv). It carves the 10%
+  // combine pool when any submission combines. 0 = each job budgets its
+  // nodes from its own JobConfig.
   std::uint64_t node_memory_bytes = 0;
   // kPriority only: every full interval a job waits promotes it one
   // priority class (0 = no aging, strict classes). Aging is computed in
@@ -122,10 +123,6 @@ struct ScheduledJob {
   int arrival_seq = -1;
   int preemptions = 0;  // times this job was suspended mid-run
   int resumes = 0;      // residencies that replayed a suspended remainder
-  // The job asked for combining but the runtime forced a weaker mode
-  // (shared governor, or a checkpoint-preemptable job): surfaced here so
-  // the degradation is never silent.
-  bool combine_degraded = false;
   JobResult result;  // valid iff !rejected && !failed
 };
 
@@ -169,9 +166,6 @@ class Scheduler {
   // Total suspensions (sum of per-job preemptions) and resumed residencies.
   int jobs_preempted() const { return preempt_count_; }
   int jobs_resumed() const { return resume_count_; }
-  // Jobs whose requested combine mode was silently forced weaker — now
-  // counted and surfaced (see ScheduledJob::combine_degraded).
-  int combine_degraded_jobs() const { return combine_degraded_count_; }
   // Distinct port windows ever created. Windows are recycled through a
   // free-list when a job leaves residency, so this is bounded by peak
   // residency — not by the total job count (the old `stride * (id + 1)`
@@ -229,7 +223,8 @@ class Scheduler {
   std::vector<int> free_windows_;  // recycled port windows, smallest first
 
   double epoch_ = 0;  // sim.now() at construction; arrival origin
-  bool any_crashes_ = false;  // some submission injects node crashes
+  bool any_crashes_ = false;    // some submission injects node crashes
+  bool any_combining_ = false;  // some submission combines (node or rack)
   int resident_ = 0;
   int resident_peak_ = 0;
   int queue_peak_ = 0;
@@ -240,7 +235,6 @@ class Scheduler {
   int windows_created_ = 0;
   int preempt_count_ = 0;
   int resume_count_ = 0;
-  int combine_degraded_count_ = 0;
 };
 
 // Deterministic open-loop arrival process: exponential interarrival times

@@ -662,58 +662,5 @@ TEST(Sched, PortWindowsRecycledAcrossManySequentialJobs) {
   EXPECT_LE(sched.port_windows_created(), 2);
 }
 
-// --- silent combine degradation is surfaced ---
-
-TEST(Sched, CombineDowngradeUnderSharedGovernorIsSurfaced) {
-  Platform p = make_platform(2);
-  dfs::Dfs fs(p, dfs::DfsConfig{});
-  write_file(p, fs, "/in/t", make_text(400, 23));
-  GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
-  SchedulerConfig sc;
-  sc.node_memory_bytes = 64ull << 20;  // shared governor: no combine pool
-  Scheduler sched(rt, p, fs, sc);
-  JobRequest req;
-  req.name = "wc-combine";
-  req.app = wordcount_app();
-  req.config.input_paths = {"/in/t"};
-  req.config.output_path = "/out/j0";
-  req.config.split_size = 32 << 10;
-  req.config.combine_mode = CombineMode::kNode;
-  const int id = sched.submit(std::move(req));
-  sched.run_all();
-  const auto& r = sched.results()[static_cast<std::size_t>(id)];
-  ASSERT_FALSE(r.failed);
-  // The job asked for node combining; the shared governor forced it off.
-  // That downgrade used to be silent — now it's reported on the job, the
-  // result, and the scheduler counter.
-  EXPECT_TRUE(r.combine_degraded);
-  EXPECT_TRUE(r.result.combine_degraded);
-  EXPECT_EQ(sched.combine_degraded_jobs(), 1);
-  EXPECT_GT(r.result.stats.output_pairs, 0u);
-}
-
-TEST(Sched, PreemptableJobCombineDowngradeIsSurfaced) {
-  Platform p = make_platform(2);
-  dfs::Dfs fs(p, dfs::DfsConfig{});
-  write_file(p, fs, "/in/t", make_text(400, 27));
-  GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
-  SchedulerConfig sc;
-  sc.preemption = true;  // replayable ledger framing excludes combining
-  Scheduler sched(rt, p, fs, sc);
-  JobRequest req;
-  req.name = "wc-combine";
-  req.app = wordcount_app();
-  req.config.input_paths = {"/in/t"};
-  req.config.output_path = "/out/j0";
-  req.config.split_size = 32 << 10;
-  req.config.combine_mode = CombineMode::kNode;
-  const int id = sched.submit(std::move(req));
-  sched.run_all();
-  const auto& r = sched.results()[static_cast<std::size_t>(id)];
-  ASSERT_FALSE(r.failed);
-  EXPECT_TRUE(r.combine_degraded);
-  EXPECT_EQ(sched.combine_degraded_jobs(), 1);
-}
-
 }  // namespace
 }  // namespace gw::core
